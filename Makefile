@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race fuzz-smoke bench bench-smoke bench-json bench-ab bench-guard serve-smoke trace-smoke store-smoke cluster-smoke
+.PHONY: ci build vet test race fuzz-smoke bench bench-smoke bench-json bench-ab bench-guard serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
 
-ci: vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke store-smoke cluster-smoke
+ci: vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own Go module (perfbench/go.mod), so the
+# root ./... never builds it; vet and test it here so a change to the
+# service API or to span names cannot silently break the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The parallel runner, the multi-core machine, the queue/core building
 # blocks they drive concurrently, the job server's cache/dedup/

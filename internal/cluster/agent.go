@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -43,7 +44,7 @@ func (a *Agent) logger() *slog.Logger {
 	if a.Logger != nil {
 		return a.Logger
 	}
-	return slog.New(discardHandler{})
+	return slog.New(slog.NewJSONHandler(io.Discard, nil))
 }
 
 // post sends one control-plane request; okStatus is the expected

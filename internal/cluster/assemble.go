@@ -28,7 +28,7 @@ func (co *Coordinator) assembleTrace(requestID string) {
 	// response; give those final End()s a beat to land before fetching.
 	time.Sleep(100 * time.Millisecond)
 
-	ctx, cancel := context.WithTimeout(co.baseCtx, 10*time.Second)
+	ctx, cancel := context.WithTimeout(co.JobContext(), 10*time.Second)
 	defer cancel()
 
 	type proc struct {
@@ -36,7 +36,7 @@ func (co *Coordinator) assembleTrace(requestID string) {
 		spans []tracing.Span
 	}
 	procs := []proc{{name: "hidisc-coord"}}
-	for _, s := range co.tracer.Spans(requestID) {
+	for _, s := range co.Tracer().Spans(requestID) {
 		procs[0].spans = append(procs[0].spans, *s)
 	}
 
@@ -49,7 +49,7 @@ func (co *Coordinator) assembleTrace(requestID string) {
 	for _, u := range urls {
 		spans, err := clients[u].Traces(ctx, requestID)
 		if err != nil {
-			co.logger.Warn("trace fetch failed", "requestId", requestID, "worker", u, "err", err.Error())
+			co.Logger().Warn("trace fetch failed", "requestId", requestID, "worker", u, "err", err.Error())
 			continue
 		}
 		if len(spans) == 0 {
@@ -68,33 +68,33 @@ func (co *Coordinator) assembleTrace(requestID string) {
 		}
 	})
 	if err != nil {
-		co.logger.Error("trace assembly failed", "requestId", requestID, "err", err.Error())
+		co.Logger().Error("trace assembly failed", "requestId", requestID, "err", err.Error())
 		return
 	}
 	if skipped > 0 {
-		co.logger.Warn("machine timelines capped in merged trace",
+		co.Logger().Warn("machine timelines capped in merged trace",
 			"requestId", requestID, "spliced", spliced, "skipped", skipped, "cap", maxMachineSplices)
 	}
 
 	path := filepath.Join(co.cfg.TraceDir, "trace-"+sanitizeID(requestID)+".json")
 	tmp, err := os.CreateTemp(co.cfg.TraceDir, ".trace-*")
 	if err != nil {
-		co.logger.Error("trace write failed", "requestId", requestID, "err", err.Error())
+		co.Logger().Error("trace write failed", "requestId", requestID, "err", err.Error())
 		return
 	}
 	_, werr := tmp.Write(doc)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		co.logger.Error("trace write failed", "requestId", requestID, "path", path)
+		co.Logger().Error("trace write failed", "requestId", requestID, "path", path)
 		return
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		co.logger.Error("trace write failed", "requestId", requestID, "err", err.Error())
+		co.Logger().Error("trace write failed", "requestId", requestID, "err", err.Error())
 		return
 	}
-	co.logger.Info("trace assembled", "requestId", requestID, "path", path)
+	co.Logger().Info("trace assembled", "requestId", requestID, "path", path)
 }
 
 // sanitizeID makes a request ID safe as a filename component.

@@ -147,6 +147,7 @@ func TestWireContract(t *testing.T) {
 		{name: "batch empty", path: "/v1/batch", body: `{"jobs":[]}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "batch matrix plus jobs", path: "/v1/batch", body: `{"matrix":"fig8","jobs":[` + contractJob + `]}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "batch per-job bad scale", path: "/v1/batch", body: `{"jobs":[{"workload":"Pointer","arch":"hidisc","scale":"huge"}]}`, status: 400, kind: simserver.KindBadRequest},
+		{name: "batch over capacity", path: "/v1/batch", body: `{"jobs":[` + contractJob + `,` + contractJob + `,` + contractJob + `]}`, status: 400, kind: simserver.KindBadRequest, workers: 1, queue: 1},
 		{name: "drain", path: "/v1/jobs", body: contractJob, drain: true, status: 503, kind: simserver.KindDraining},
 		{name: "request ID adopted", path: "/v1/jobs", body: contractJob, header: map[string]string{"X-Request-Id": contractRequestID}, status: 200},
 		{name: "traceparent adopted", path: "/v1/jobs", body: contractJob, header: map[string]string{"traceparent": contractParent}, status: 200},

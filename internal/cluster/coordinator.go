@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -59,35 +57,26 @@ type Config struct {
 }
 
 // Coordinator fronts a fleet of hidisc-serve workers with the same
-// data-plane API a single worker serves: POST /v1/jobs, POST /v1/batch
-// (including matrix NDJSON streaming), GET /metrics, GET /healthz.
-// Jobs route to workers by consistent-hashing the canonical
-// experiments.Job.Key(), so each worker's result cache, store and
-// singleflight stay effective on its shard of the key space.
+// data-plane API a single worker serves — it is the routing Backend of
+// the same simserver.Front — plus fleet membership. Jobs route to
+// workers by consistent-hashing the canonical experiments.Job.Key(), so
+// each worker's result cache, store and singleflight stay effective on
+// its shard of the key space.
 type Coordinator struct {
-	cfg   Config
-	fleet *fleet
-	start time.Time
-
-	baseCtx context.Context
-	cancel  context.CancelFunc
-
-	draining atomic.Bool
-	logger   *slog.Logger
-	reqSeq   atomic.Int64
-	backoff  *simclient.Backoff
-	tracer   *tracing.Tracer
+	*simserver.Front
+	cfg     Config
+	fleet   *fleet
+	start   time.Time
+	backoff *simclient.Backoff
 
 	routed       atomic.Int64
 	failed       atomic.Int64
 	requeued     atomic.Int64
 	rerouted     atomic.Int64
 	throttled    atomic.Int64
-	rejected     atomic.Int64
 	registered   atomic.Int64
 	deregistered atomic.Int64
 	workerDeaths atomic.Int64
-	avgJobNs     atomic.Int64 // EWMA of forwarded-job wall time
 }
 
 // New builds a coordinator.
@@ -98,10 +87,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 3 * cfg.HeartbeatInterval
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(discardHandler{})
-	}
 	if cfg.Backoff == nil {
 		cfg.Backoff = simclient.DefaultBackoff()
 	}
@@ -110,17 +95,16 @@ func New(cfg Config) *Coordinator {
 	// fast (simclient.RetryableStatus is the shared table).
 	opts := cfg.ClientOptions
 	opts.Retry = nil
-	ctx, cancel := context.WithCancel(context.Background())
-	co := &Coordinator{
-		cfg:     cfg,
-		fleet:   newFleet(cfg.HeartbeatInterval, cfg.TTL, opts, logger),
-		start:   time.Now(),
-		baseCtx: ctx,
-		cancel:  cancel,
-		logger:  logger,
-		backoff: cfg.Backoff,
-		tracer:  cfg.Tracer,
+	co := &Coordinator{cfg: cfg, start: time.Now(), backoff: cfg.Backoff}
+	role := simserver.Role{
+		IDPrefix: "co-", SpanPrefix: "coord", Noun: "coordinator",
+		Admission: "fleet admission", AdmitSpan: "coord.admit",
 	}
+	if cfg.TraceDir != "" {
+		role.Traced = co.assembleTrace
+	}
+	co.Front = simserver.NewFront(co, role, cfg.Scale, cfg.Logger, cfg.Tracer)
+	co.fleet = newFleet(cfg.HeartbeatInterval, cfg.TTL, opts, co.Logger())
 	co.fleet.onDeath = func(url, reason string) { co.workerDeaths.Add(1) }
 	for _, url := range cfg.StaticWorkers {
 		co.fleet.AddStatic(url)
@@ -163,7 +147,7 @@ func (co *Coordinator) probeStatic(ctx context.Context, url string) {
 					URL: url, Workers: m.Workers, Queue: m.Queue, Store: m.Store.State,
 				})
 				co.registered.Add(1)
-				co.logger.Info("static worker adopted", "worker", url, "capacity", m.Capacity)
+				co.Logger().Info("static worker adopted", "worker", url, "capacity", m.Capacity)
 			}
 		} else {
 			if err := c.Healthz(pctx); err == nil {
@@ -183,127 +167,32 @@ func (co *Coordinator) probeStatic(ctx context.Context, url string) {
 	}
 }
 
-// Handler returns the coordinator's route table.
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", co.handleJob)
-	mux.HandleFunc("POST /v1/batch", co.handleBatch)
-	mux.HandleFunc("GET /metrics", co.handleMetrics)
+// Admission is fleet-wide: the summed capacity and simulation-pool
+// width of the routable workers.
+func (co *Coordinator) Admission() (capacity, width int) {
+	_, capacity, width = co.fleet.Occupancy()
+	return capacity, width
+}
+
+// Ready refuses work while no worker is routable.
+func (co *Coordinator) Ready() error {
+	if co.fleet.AliveCount() == 0 {
+		return errNoWorkers
+	}
+	return nil
+}
+
+// Routes mounts the fleet health view and the cluster control plane.
+func (co *Coordinator) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /healthz", co.handleHealthz)
 	mux.HandleFunc("POST /v1/cluster/register", co.handleRegister)
 	mux.HandleFunc("POST /v1/cluster/heartbeat", co.handleHeartbeat)
 	mux.HandleFunc("POST /v1/cluster/deregister", co.handleDeregister)
-	mux.HandleFunc("GET /v1/traces", co.handleTraces)
-	return co.withObservability(mux)
-}
-
-// Tracer returns the coordinator's span collector (nil when tracing is
-// off).
-func (co *Coordinator) Tracer() *tracing.Tracer { return co.tracer }
-
-// handleTraces dumps the coordinator's span ring as NDJSON, filterable
-// by ?request=<id> — the same wire shape workers serve, so one tool
-// reads both.
-func (co *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if co.tracer == nil {
-		return
-	}
-	_ = co.tracer.WriteNDJSON(w, r.URL.Query().Get("request"))
-}
-
-// withObservability mirrors the worker-side middleware: assign (or
-// adopt) an X-Request-Id and log one access line. Coordinator-assigned
-// IDs are prefixed "co-" so a fleet log stream shows which hop minted
-// the ID; the same ID then travels to the worker via simclient.
-func (co *Coordinator) withObservability(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = fmt.Sprintf("co-%08d", co.reqSeq.Add(1))
-		}
-		w.Header().Set("X-Request-Id", id)
-		ctx := simserver.ContextWithRequestID(r.Context(), id)
-		var span *tracing.Span
-		if r.URL.Path == "/v1/jobs" || r.URL.Path == "/v1/batch" {
-			span = co.tracer.Root("coord "+r.Method+" "+r.URL.Path, r.Header.Get("traceparent"), id)
-			ctx = tracing.ContextWithSpan(ctx, span)
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		span.SetAttr("status", strconv.Itoa(sw.status))
-		span.End()
-		if span != nil && co.cfg.TraceDir != "" {
-			// Assemble in the background: trace collection must never
-			// hold up the response path.
-			go co.assembleTrace(id)
-		}
-		co.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("requestId", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", time.Since(t0).Round(time.Microsecond)),
-		)
-	})
-}
-
-// StartDraining refuses new submissions and flips healthz to 503.
-func (co *Coordinator) StartDraining() {
-	if co.draining.CompareAndSwap(false, true) {
-		co.logger.Info("drain started", "inFlight", co.InFlight())
-	}
-}
-
-// Draining reports drain mode.
-func (co *Coordinator) Draining() bool { return co.draining.Load() }
-
-// ForceCancel aborts in-flight forwards.
-func (co *Coordinator) ForceCancel() { co.cancel() }
-
-// requestContext derives a forward context from the request that also
-// dies when ForceCancel fires — a second shutdown signal must abandon
-// forwards even though their HTTP requests are still open.
-func (co *Coordinator) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(co.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
-// InFlight returns the number of coordinator-routed jobs currently
-// forwarded.
-func (co *Coordinator) InFlight() int {
-	n, _, _ := co.fleet.Occupancy()
-	return n
-}
-
-// Drain enters drain mode and waits for in-flight forwards.
-func (co *Coordinator) Drain(ctx context.Context) error {
-	co.StartDraining()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if co.InFlight() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("drain: %d jobs still in flight: %w", co.InFlight(), ctx.Err())
-		case <-tick.C:
-		}
-	}
 }
 
 // --- routing ---
 
-// forwardOutcome is one routed job's result.
-type forwardOutcome struct {
-	resp simserver.JobResponse
-	err  error // *simclient.APIError for pass-through, else internal
-}
-
-// forward routes one job: canonicalize, hash, pick the ring owner,
+// RunJob routes one job: canonicalize, hash, pick the ring owner,
 // forward, and handle failure per the shared retryable-status table:
 //
 //   - success → done (count a reroute if it landed off its ring home);
@@ -318,18 +207,24 @@ type forwardOutcome struct {
 //   - any other status (400/404/405/413/422/500/504) → a property of
 //     the job, identical on every worker: fail fast, never re-routed.
 //
-// reqCtx bounds the caller's wait; between attempts the coordinator
-// sleeps the Backoff schedule.
-func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, def workloads.Scale) forwardOutcome {
+// reqCtx bounds the caller's wait, and ForceCancel ends it too: a
+// second shutdown signal must abandon forwards even though their HTTP
+// requests are still open. Between attempts the coordinator sleeps the
+// Backoff schedule. Errors are *simclient.APIError for pass-through,
+// else the coordinator's own.
+func (co *Coordinator) RunJob(reqCtx context.Context, jr simserver.JobRequest, def workloads.Scale) (simserver.JobResponse, error) {
 	job, err := jr.CanonicalJob(def)
 	if err != nil {
-		return forwardOutcome{err: &simclient.APIError{
+		return simserver.JobResponse{}, &simclient.APIError{
 			Status: http.StatusBadRequest,
 			Wire: simserver.WireError{
 				Status: http.StatusBadRequest, Kind: simserver.KindBadRequest, Message: err.Error(),
 			},
-		}}
+		}
 	}
+	reqCtx, cancel := context.WithCancel(reqCtx)
+	defer cancel()
+	defer context.AfterFunc(co.JobContext(), cancel)()
 	key := job.Key()
 	// Forward the resolved scale explicitly: the key was computed under
 	// it, so the worker must run exactly that.
@@ -342,7 +237,7 @@ func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, 
 	var lastErr error
 	for attempt := 0; attempt < co.backoff.MaxAttempts(); attempt++ {
 		if err := reqCtx.Err(); err != nil {
-			return forwardOutcome{err: err}
+			return simserver.JobResponse{}, err
 		}
 		url, c := co.fleet.PickClient(key, excluded)
 		if url == "" {
@@ -352,7 +247,7 @@ func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, 
 			lastErr = errNoWorkers
 			excluded = map[string]bool{}
 			if err := co.backoff.Sleep(reqCtx, co.backoff.Delay(attempt)); err != nil {
-				return forwardOutcome{err: err}
+				return simserver.JobResponse{}, err
 			}
 			continue
 		}
@@ -374,12 +269,12 @@ func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, 
 		co.fleet.End(url)
 		if err == nil {
 			asp.End()
-			co.observeJobTime(time.Since(t0))
+			co.ObserveJobTime(time.Since(t0))
 			co.routed.Add(1)
 			if url != home {
 				co.rerouted.Add(1)
 			}
-			return forwardOutcome{resp: resp}
+			return resp, nil
 		}
 		asp.SetAttr("error", err.Error())
 		asp.End()
@@ -389,15 +284,15 @@ func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, 
 		case errors.As(err, &ae) && !simclient.RetryableStatus(ae.Status):
 			// The job's own fault — identical on every worker.
 			co.failed.Add(1)
-			return forwardOutcome{err: ae}
+			return simserver.JobResponse{}, ae
 		case errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests:
 			// Shed by the home shard: honour its Retry-After there.
 			co.throttled.Add(1)
-			co.logger.Warn("worker shed job; holding for its shard",
+			co.Logger().Warn("worker shed job; holding for its shard",
 				"requestId", simserver.RequestIDFrom(reqCtx), "worker", url,
 				"retryAfter", ae.RetryAfter)
 			if err := co.backoff.Sleep(reqCtx, co.backoff.DelayFor(attempt, err)); err != nil {
-				return forwardOutcome{err: err}
+				return simserver.JobResponse{}, err
 			}
 		case errors.As(err, &ae):
 			// 502/503: draining or an intermediary blip — re-route now.
@@ -406,11 +301,11 @@ func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, 
 			rsp.SetAttr("worker", url)
 			rsp.SetAttr("status", strconv.Itoa(ae.Status))
 			rsp.End()
-			co.logger.Info("worker refused job; re-routing",
+			co.Logger().Info("worker refused job; re-routing",
 				"requestId", simserver.RequestIDFrom(reqCtx), "worker", url,
 				"status", ae.Status)
 		case reqCtx.Err() != nil:
-			return forwardOutcome{err: reqCtx.Err()}
+			return simserver.JobResponse{}, reqCtx.Err()
 		default:
 			// Transport-level failure: the worker died under this job.
 			// Requeue it onto the ring minus the dead node. The requeue
@@ -423,182 +318,18 @@ func (co *Coordinator) forward(reqCtx context.Context, jr simserver.JobRequest, 
 			qsp.SetAttr("worker", url)
 			qsp.SetAttr("reason", err.Error())
 			qsp.End()
-			co.logger.Warn("worker died in flight; requeueing job",
+			co.Logger().Warn("worker died in flight; requeueing job",
 				"requestId", simserver.RequestIDFrom(reqCtx), "worker", url,
 				"key", key, "err", err.Error())
 		}
 	}
 	co.failed.Add(1)
-	return forwardOutcome{err: lastErr}
+	return simserver.JobResponse{}, lastErr
 }
 
 var errNoWorkers = errors.New("no routable workers in the fleet")
 
-func (co *Coordinator) observeJobTime(d time.Duration) {
-	for {
-		old := co.avgJobNs.Load()
-		next := int64(d)
-		if old > 0 {
-			next = old + (int64(d)-old)/8
-		}
-		if co.avgJobNs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// tryAdmit is fleet-wide admission: all-or-nothing against the summed
-// capacity of routable workers, mirroring each worker's own
-// workers+queue bound. Returns the 429 Retry-After estimate on
-// rejection — backlog over the fleet's summed pool width at the EWMA
-// job time, the same math one worker applies to its own queue.
-func (co *Coordinator) tryAdmit(n int) (ok bool, retryAfterSecs int, backlog int) {
-	inFlight, capacity, poolWidth := co.fleet.Occupancy()
-	if inFlight+n <= capacity {
-		return true, 0, inFlight
-	}
-	avg := time.Duration(co.avgJobNs.Load())
-	if avg <= 0 {
-		avg = time.Second
-	}
-	est := time.Duration(inFlight/max(poolWidth, 1)+1) * avg
-	secs := int((est + time.Second - 1) / time.Second)
-	return false, min(max(secs, 1), 60), inFlight
-}
-
 // --- handlers ---
-
-func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	if co.Draining() {
-		co.writeError(w, r, simserver.WireError{
-			Status: http.StatusServiceUnavailable, Kind: simserver.KindDraining,
-			Message: "coordinator is draining",
-		})
-		return
-	}
-	var jr simserver.JobRequest
-	if err := decodeBody(w, r, &jr); err != nil {
-		co.writeError(w, r, simserver.WireError{
-			Status: http.StatusBadRequest, Kind: simserver.KindBadRequest, Message: err.Error(),
-		})
-		return
-	}
-	if co.fleet.AliveCount() == 0 {
-		co.writeError(w, r, co.wireError(errNoWorkers))
-		return
-	}
-	asp := tracing.SpanFrom(r.Context()).Child("coord.admit")
-	ok, secs, backlog := co.tryAdmit(1)
-	asp.SetAttr("ok", strconv.FormatBool(ok))
-	asp.SetAttr("backlog", strconv.Itoa(backlog))
-	asp.End()
-	if !ok {
-		co.reject(w, r, secs, backlog)
-		return
-	}
-	ctx, cancel := co.requestContext(r)
-	defer cancel()
-	out := co.forward(ctx, jr, co.cfg.Scale)
-	if out.err != nil {
-		co.writeError(w, r, co.wireError(out.err))
-		return
-	}
-	writeJSON(w, http.StatusOK, out.resp)
-}
-
-func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if co.Draining() {
-		co.writeError(w, r, simserver.WireError{
-			Status: http.StatusServiceUnavailable, Kind: simserver.KindDraining,
-			Message: "coordinator is draining",
-		})
-		return
-	}
-	var br simserver.BatchRequest
-	if err := decodeBody(w, r, &br); err != nil {
-		co.writeError(w, r, simserver.WireError{
-			Status: http.StatusBadRequest, Kind: simserver.KindBadRequest, Message: err.Error(),
-		})
-		return
-	}
-	scale, err := simserver.ParseScale(br.Scale, co.cfg.Scale)
-	if err != nil {
-		co.writeError(w, r, simserver.WireError{
-			Status: http.StatusBadRequest, Kind: simserver.KindBadRequest, Message: err.Error(),
-		})
-		return
-	}
-	jobs, err := simserver.ExpandBatch(br, scale)
-	if err != nil {
-		co.writeError(w, r, simserver.WireError{
-			Status: http.StatusBadRequest, Kind: simserver.KindBadRequest, Message: err.Error(),
-		})
-		return
-	}
-	if co.fleet.AliveCount() == 0 {
-		co.writeError(w, r, co.wireError(errNoWorkers))
-		return
-	}
-	asp := tracing.SpanFrom(r.Context()).Child("coord.admit")
-	ok, secs, backlog := co.tryAdmit(len(jobs))
-	asp.SetAttr("ok", strconv.FormatBool(ok))
-	asp.SetAttr("jobs", strconv.Itoa(len(jobs)))
-	asp.SetAttr("backlog", strconv.Itoa(backlog))
-	asp.End()
-	if !ok {
-		co.reject(w, r, secs, backlog)
-		return
-	}
-
-	// Stream one NDJSON line per job as it completes, exactly like a
-	// worker would — batch consumers cannot tell a fleet from a node.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	ctx, cancel := co.requestContext(r)
-	defer cancel()
-	items := make(chan simserver.BatchItem)
-	for i := range jobs {
-		go func(i int) {
-			// Each routed job gets its own span on its own track, so a
-			// fleet batch renders as parallel rows per job.
-			jctx := ctx
-			jsp := tracing.SpanFrom(ctx).Child("coord.job")
-			if jsp != nil {
-				jsp.SetTrack(fmt.Sprintf("job[%d]", i))
-				jsp.SetAttr("index", strconv.Itoa(i))
-				jctx = tracing.ContextWithSpan(ctx, jsp)
-			}
-			// scale (the batch-level resolution) is the default for jobs
-			// without their own, matching the worker's batch semantics.
-			out := co.forward(jctx, jobs[i], scale)
-			jsp.End()
-			it := simserver.BatchItem{
-				Index: i, Key: out.resp.Key, Cached: out.resp.Cached,
-				Stored: out.resp.Stored, Deduped: out.resp.Deduped,
-				Measurement: out.resp.Measurement,
-			}
-			if out.err != nil {
-				we := co.wireError(out.err)
-				we.RequestID = simserver.RequestIDFrom(r.Context())
-				it.Error = &we
-				it.Measurement = nil
-			}
-			items <- it
-		}(i)
-	}
-	enc := json.NewEncoder(w)
-	for range jobs {
-		if err := enc.Encode(<-items); err != nil {
-			// Client went away; keep consuming so forwards finish.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := HealthSnapshot{Workers: co.fleet.Health()}
@@ -613,20 +344,20 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		snap.Status = "ok"
 	}
-	writeJSON(w, status, snap)
+	simserver.WriteJSON(w, status, snap)
 }
 
 func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeBody(w, r, &req); err != nil || req.URL == "" {
+	if err := simserver.DecodeBody(w, r, &req); err != nil || req.URL == "" {
 		http.Error(w, "bad register body", http.StatusBadRequest)
 		return
 	}
 	co.fleet.Register(req)
 	co.registered.Add(1)
-	co.logger.Info("worker registered",
+	co.Logger().Info("worker registered",
 		"worker", req.URL, "workers", req.Workers, "queue", req.Queue)
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	simserver.WriteJSON(w, http.StatusOK, RegisterResponse{
 		HeartbeatMs: co.cfg.HeartbeatInterval.Milliseconds(),
 		TTLMs:       co.cfg.TTL.Milliseconds(),
 	})
@@ -634,7 +365,7 @@ func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decodeBody(w, r, &req); err != nil || req.URL == "" {
+	if err := simserver.DecodeBody(w, r, &req); err != nil || req.URL == "" {
 		http.Error(w, "bad heartbeat body", http.StatusBadRequest)
 		return
 	}
@@ -648,33 +379,21 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req DeregisterRequest
-	if err := decodeBody(w, r, &req); err != nil || req.URL == "" {
+	if err := simserver.DecodeBody(w, r, &req); err != nil || req.URL == "" {
 		http.Error(w, "bad deregister body", http.StatusBadRequest)
 		return
 	}
 	if co.fleet.Deregister(req.URL) {
 		co.deregistered.Add(1)
-		co.logger.Info("worker deregistered", "worker", req.URL)
+		co.Logger().Info("worker deregistered", "worker", req.URL)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// reject answers 429 with the fleet-wide Retry-After estimate.
-func (co *Coordinator) reject(w http.ResponseWriter, r *http.Request, secs, backlog int) {
-	co.rejected.Add(1)
-	co.logger.Warn("fleet admission rejected",
-		"requestId", simserver.RequestIDFrom(r.Context()), "backlog", backlog, "retryAfterSeconds", secs)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	co.writeError(w, r, simserver.WireError{
-		Status: http.StatusTooManyRequests, Kind: simserver.KindOverloaded,
-		Message: fmt.Sprintf("fleet admission full (%d jobs in flight); retry in %ds", backlog, secs),
-	})
-}
-
-// wireError renders a forward failure: worker APIErrors pass through
+// WireError renders a forward failure: worker APIErrors pass through
 // verbatim (status, kind, snapshot — the worker already mapped its
 // fault), everything else is coordinator-shaped.
-func (co *Coordinator) wireError(err error) simserver.WireError {
+func (co *Coordinator) WireError(err error) simserver.WireError {
 	var ae *simclient.APIError
 	if errors.As(err, &ae) {
 		return ae.Wire
@@ -696,53 +415,3 @@ func (co *Coordinator) wireError(err error) simserver.WireError {
 		Message: err.Error(),
 	}
 }
-
-func (co *Coordinator) writeError(w http.ResponseWriter, r *http.Request, we simserver.WireError) {
-	we.RequestID = simserver.RequestIDFrom(r.Context())
-	level := slog.LevelWarn
-	if we.Status >= http.StatusInternalServerError {
-		level = slog.LevelError
-	}
-	co.logger.Log(r.Context(), level, "request error",
-		"requestId", we.RequestID, "status", we.Status, "kind", we.Kind, "message", we.Message)
-	writeJSON(w, we.Status, simserver.ErrorBody{Err: we})
-}
-
-// --- plumbing (mirrors simserver's) ---
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// discardHandler drops every record (slog.DiscardHandler needs a newer
-// toolchain than go.mod promises).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

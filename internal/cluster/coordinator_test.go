@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +25,12 @@ import (
 func startCluster(t *testing.T, cfg cluster.Config) (*cluster.Coordinator, *httptest.Server) {
 	t.Helper()
 	cfg.Scale = workloads.ScaleTest
+	if cfg.HeartbeatInterval == 0 {
+		// Workers registered by hand never heartbeat: keep them alive
+		// for the whole test, however slow the host (a 1s cadence aged
+		// them out after 6s of a -race run on a loaded host).
+		cfg.HeartbeatInterval = time.Minute
+	}
 	if cfg.Backoff == nil {
 		// Keep test-side patience short: transport failures re-route
 		// without sleeping, so four attempts cover every path exercised
@@ -273,9 +280,10 @@ func TestClusterNoWorkers(t *testing.T) {
 	}
 }
 
-// TestClusterFleetAdmission pins fleet-wide backpressure: a batch
-// larger than the fleet's summed capacity is answered 429 with a
-// Retry-After estimate before any job is forwarded.
+// TestClusterFleetAdmission pins the oversized-batch rule the worker
+// applies too: a batch larger than the fleet's whole summed capacity
+// could never be admitted, so it is refused as a bad request before any
+// job is forwarded — not answered 429 with a retry that cannot succeed.
 func TestClusterFleetAdmission(t *testing.T) {
 	_, co := startCluster(t, cluster.Config{})
 	// One worker with room for a single job; fig8 is far larger.
@@ -287,15 +295,156 @@ func TestClusterFleetAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized batch answered HTTP %d, want 400", resp.StatusCode)
+	}
+	var eb simserver.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "batch of 28 exceeds coordinator capacity 1; split it"; eb.Err.Message != want {
+		t.Errorf("message %q, want %q", eb.Err.Message, want)
+	}
+	fm := fleetMetrics(t, co.URL)
+	if fm.Coordinator.Rejected != 0 || fm.Coordinator.Routed != 0 {
+		t.Errorf("rejected = %d, routed = %d; want 0, 0", fm.Coordinator.Rejected, fm.Coordinator.Routed)
+	}
+}
+
+// holdingWorker is a stub worker that sheds its first shed requests
+// with 429 and Retry-After: 1, then accepts every job and answers none
+// until released. arrived receives once per request.
+func holdingWorker(t *testing.T, shed int) (url string, arrived <-chan struct{}, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	got := make(chan struct{}, 64)
+	var mu sync.Mutex
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		shedThis := shed > 0
+		shed--
+		mu.Unlock()
+		got <- struct{}{}
+		if shedThis {
+			w.Header().Set("Retry-After", "1")
+			simserver.WriteJSON(w, http.StatusTooManyRequests, simserver.ErrorBody{Err: simserver.WireError{
+				Status: http.StatusTooManyRequests, Kind: simserver.KindOverloaded, Message: "stub full",
+			}})
+			return
+		}
+		<-hold
+		simserver.WriteJSON(w, http.StatusOK, simserver.JobResponse{Key: "k", Measurement: json.RawMessage(`{}`)})
+	}))
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(func() { release(); ts.Close() })
+	return ts.URL, got, release
+}
+
+func postBatch(coord string, jobs int) (*http.Response, error) {
+	var br simserver.BatchRequest
+	for i := 0; i < jobs; i++ {
+		br.Jobs = append(br.Jobs, simserver.JobRequest{Workload: "Pointer", Arch: "hidisc"})
+	}
+	body, err := json.Marshal(br)
+	if err != nil {
+		return nil, err
+	}
+	return http.Post(coord+"/v1/batch", "application/json", bytes.NewReader(body))
+}
+
+// TestClusterFleetBusy429 pins fleet backpressure while capacity is
+// busy: with the fleet's two slots held by an admitted batch, the next
+// job is answered 429 with a Retry-After estimate, and the held batch
+// still completes.
+func TestClusterFleetBusy429(t *testing.T) {
+	url, arrived, release := holdingWorker(t, 0)
+	cl, co := startCluster(t, cluster.Config{})
+	register(t, co.URL, url, 1, 1)
+
+	done := make(chan int, 1)
+	go func() {
+		resp, err := postBatch(co.URL, 2)
+		if err != nil {
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	<-arrived
+	if cl.InFlight() != 2 {
+		t.Fatalf("in flight = %d, want the batch's 2", cl.InFlight())
+	}
+	resp, err := http.Post(co.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"Pointer","arch":"hidisc"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("oversized batch answered HTTP %d, want 429", resp.StatusCode)
+		t.Fatalf("busy fleet answered HTTP %d, want 429", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 without a Retry-After header")
 	}
-	fm := fleetMetrics(t, co.URL)
-	if fm.Coordinator.Rejected != 1 {
+	var eb simserver.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(eb.Err.Message, "fleet admission full (2 jobs in flight)") {
+		t.Errorf("overload message %q", eb.Err.Message)
+	}
+	release()
+	if status := <-done; status != http.StatusOK {
+		t.Errorf("held batch answered HTTP %d, want 200", status)
+	}
+	if fm := fleetMetrics(t, co.URL); fm.Coordinator.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", fm.Coordinator.Rejected)
+	}
+}
+
+// TestClusterAdmissionReserves pins that fleet admission reserves what
+// it admits, for as long as the job is the coordinator's — including
+// while it sleeps in backoff after its worker shed it. Two batches that
+// each fit the fleet alone but not together cannot both be admitted:
+// exactly one gets 429.
+func TestClusterAdmissionReserves(t *testing.T) {
+	url, arrived, release := holdingWorker(t, 2)
+	cl, co := startCluster(t, cluster.Config{})
+	register(t, co.URL, url, 1, 2) // capacity 3
+
+	statuses := make(chan int, 2)
+	post := func() {
+		resp, err := postBatch(co.URL, 2)
+		if err != nil {
+			statuses <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go post()
+	// Both of the first batch's jobs were shed and now wait out
+	// Retry-After: still in flight, still holding their admission.
+	<-arrived
+	<-arrived
+	if cl.InFlight() != 2 {
+		t.Errorf("in flight = %d while the batch sleeps in backoff, want 2", cl.InFlight())
+	}
+	go post()
+	var first int
+	select {
+	case first = <-statuses:
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("neither batch was refused: both were admitted past the fleet's capacity")
+	}
+	release()
+	second := <-statuses
+	if first != http.StatusTooManyRequests || second != http.StatusOK {
+		t.Errorf("batches answered %d then %d, want 429 then 200", first, second)
 	}
 }
 
@@ -320,7 +469,7 @@ func TestClusterPrometheus(t *testing.T) {
 	_, co := startCluster(t, cluster.Config{})
 	register(t, co.URL, "http://127.0.0.1:1", 1, 1)
 
-	resp, err := http.Get(co.URL + "/metrics?format=prometheus")
+	resp, err := http.Get(co.URL + "/metrics?format=prom")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"io"
 	"log/slog"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 // testFleet builds a fleet on a fake clock: TTL 3s, heartbeat 1s.
 func testFleet() (*fleet, *time.Time) {
 	now := time.Unix(1_000_000, 0)
-	f := newFleet(time.Second, 3*time.Second, simclient.Options{}, slog.New(discardHandler{}))
+	f := newFleet(time.Second, 3*time.Second, simclient.Options{}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	f.now = func() time.Time { return now }
 	return f, &now
 }

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -130,7 +127,7 @@ func (co *Coordinator) coordinatorMetrics() CoordinatorMetrics {
 		Requeued:      co.requeued.Load(),
 		Rerouted:      co.rerouted.Load(),
 		Throttled:     co.throttled.Load(),
-		Rejected:      co.rejected.Load(),
+		Rejected:      co.Rejected(),
 		Registered:    co.registered.Load(),
 		Deregistered:  co.deregistered.Load(),
 		WorkerDeaths:  co.workerDeaths.Load(),
@@ -153,59 +150,43 @@ func (co *Coordinator) coordinatorMetrics() CoordinatorMetrics {
 	return m
 }
 
-// handleMetrics serves the merged fleet snapshot: JSON by default, the
-// Prometheus text exposition format (0.0.4) when the Accept header asks
-// for it or ?format=prometheus — the same content negotiation the
-// workers apply.
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := co.Metrics(r.Context())
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		co.writePrometheus(w, snap)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+// MetricsView serves GET /metrics: the merged fleet snapshot, and its
+// Prometheus rendering.
+func (co *Coordinator) MetricsView(ctx context.Context) (any, func(io.Writer)) {
+	snap := co.Metrics(ctx)
+	return snap, func(w io.Writer) { writePrometheus(w, &snap) }
 }
 
-func wantsPrometheus(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return true
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") && !strings.Contains(accept, "application/json")
+// coordMetrics is the coordinator's exposition, row for row over its
+// JSON snapshot: the routing counters and the fleet occupancy.
+// Fleet-summed simulation counters are deliberately not re-exported: a
+// scraper that wants them scrapes the workers (labelled at the source)
+// rather than double counting through the coordinator.
+var coordMetrics = []simserver.Metric[*MetricsSnapshot]{
+	simserver.Counter("hidisc_coord_jobs_routed_total", "Jobs successfully forwarded to a worker.", func(m *MetricsSnapshot) any { return m.Coordinator.Routed }),
+	simserver.Counter("hidisc_coord_jobs_failed_total", "Jobs that exhausted attempts or failed fast.", func(m *MetricsSnapshot) any { return m.Coordinator.Failed }),
+	simserver.Counter("hidisc_coord_jobs_requeued_total", "In-flight jobs replayed after a worker died under them.", func(m *MetricsSnapshot) any { return m.Coordinator.Requeued }),
+	simserver.Counter("hidisc_coord_jobs_rerouted_total", "Jobs completed on a worker other than their ring home.", func(m *MetricsSnapshot) any { return m.Coordinator.Rerouted }),
+	simserver.Counter("hidisc_coord_jobs_throttled_total", "Per-worker 429s absorbed by waiting out Retry-After.", func(m *MetricsSnapshot) any { return m.Coordinator.Throttled }),
+	simserver.Counter("hidisc_coord_jobs_rejected_total", "Submissions answered 429 by fleet admission.", func(m *MetricsSnapshot) any { return m.Coordinator.Rejected }),
+	simserver.Counter("hidisc_coord_workers_registered_total", "Worker registration events.", func(m *MetricsSnapshot) any { return m.Coordinator.Registered }),
+	simserver.Counter("hidisc_coord_workers_deregistered_total", "Graceful worker departures.", func(m *MetricsSnapshot) any { return m.Coordinator.Deregistered }),
+	simserver.Counter("hidisc_coord_worker_deaths_total", "Workers declared dead (TTL expiry or transport failure).", func(m *MetricsSnapshot) any { return m.Coordinator.WorkerDeaths }),
+	simserver.Gauge("hidisc_fleet_workers_alive", "Workers heartbeating within TTL.", func(m *MetricsSnapshot) any { return m.Coordinator.WorkersAlive }),
+	simserver.Gauge("hidisc_fleet_workers_suspect", "Workers silent past TTL but still in the ring.", func(m *MetricsSnapshot) any { return m.Coordinator.WorkersSuspect }),
+	simserver.Gauge("hidisc_fleet_workers_dead", "Workers out of the ring.", func(m *MetricsSnapshot) any { return m.Coordinator.WorkersDead }),
+	simserver.Gauge("hidisc_fleet_capacity", "Summed admission capacity of routable workers.", func(m *MetricsSnapshot) any { return m.Coordinator.FleetCapacity }),
+	simserver.Gauge("hidisc_fleet_in_flight", "Coordinator-routed jobs currently forwarded.", func(m *MetricsSnapshot) any { return m.Coordinator.FleetInFlight }),
+	simserver.Gauge("hidisc_coord_jobs_per_sec", "Routed jobs per second of coordinator uptime.", func(m *MetricsSnapshot) any { return m.Coordinator.JobsPerSec }),
+	simserver.Gauge("hidisc_coord_uptime_seconds", "Seconds since the coordinator started.", func(m *MetricsSnapshot) any { return m.Coordinator.UptimeSeconds }),
 }
 
-// writePrometheus renders the coordinator's routing counters plus a
-// per-worker liveness/occupancy view. Fleet-summed simulation counters
-// are deliberately not re-exported here: a scraper that wants them
-// scrapes the workers (labelled at the source) rather than double
-// counting through the coordinator.
-func (co *Coordinator) writePrometheus(w io.Writer, snap MetricsSnapshot) {
-	m := snap.Coordinator
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, v)
-	}
-	counter("hidisc_coord_jobs_routed_total", "Jobs successfully forwarded to a worker.", m.Routed)
-	counter("hidisc_coord_jobs_failed_total", "Jobs that exhausted attempts or failed fast.", m.Failed)
-	counter("hidisc_coord_jobs_requeued_total", "In-flight jobs replayed after a worker died under them.", m.Requeued)
-	counter("hidisc_coord_jobs_rerouted_total", "Jobs completed on a worker other than their ring home.", m.Rerouted)
-	counter("hidisc_coord_jobs_throttled_total", "Per-worker 429s absorbed by waiting out Retry-After.", m.Throttled)
-	counter("hidisc_coord_jobs_rejected_total", "Submissions answered 429 by fleet admission.", m.Rejected)
-	counter("hidisc_coord_workers_registered_total", "Worker registration events.", m.Registered)
-	counter("hidisc_coord_workers_deregistered_total", "Graceful worker departures.", m.Deregistered)
-	counter("hidisc_coord_worker_deaths_total", "Workers declared dead (TTL expiry or transport failure).", m.WorkerDeaths)
-	gauge("hidisc_fleet_workers_alive", "Workers heartbeating within TTL.", strconv.Itoa(m.WorkersAlive))
-	gauge("hidisc_fleet_workers_suspect", "Workers silent past TTL but still in the ring.", strconv.Itoa(m.WorkersSuspect))
-	gauge("hidisc_fleet_workers_dead", "Workers out of the ring.", strconv.Itoa(m.WorkersDead))
-	gauge("hidisc_fleet_capacity", "Summed admission capacity of routable workers.", strconv.Itoa(m.FleetCapacity))
-	gauge("hidisc_fleet_in_flight", "Coordinator-routed jobs currently forwarded.", strconv.Itoa(m.FleetInFlight))
-	gauge("hidisc_coord_jobs_per_sec", "Routed jobs per second of coordinator uptime.", strconv.FormatFloat(m.JobsPerSec, 'g', -1, 64))
-	gauge("hidisc_coord_uptime_seconds", "Seconds since the coordinator started.", strconv.FormatFloat(m.UptimeSeconds, 'g', -1, 64))
+// writePrometheus renders the coordinator rows, the runtime rows for
+// the coordinator's own process, and per-worker liveness as labelled
+// gauges.
+func writePrometheus(w io.Writer, snap *MetricsSnapshot) {
+	simserver.WriteMetrics(w, snap, coordMetrics)
 	simserver.WriteRuntimePrometheus(w, snap.Runtime)
-	// Per-worker liveness as labelled gauges.
 	fmt.Fprintf(w, "# HELP hidisc_worker_up Worker liveness (1 alive, 0.5 suspect, 0 dead).\n# TYPE hidisc_worker_up gauge\n")
 	for _, wm := range snap.Workers {
 		v := "0"

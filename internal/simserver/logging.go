@@ -3,7 +3,6 @@ package simserver
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -24,10 +23,9 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// ContextWithRequestID attaches a request ID to ctx. The coordinator
-// uses it to thread its assigned ID through simclient into the
-// forwarded request's X-Request-Id header, so one submission logs
-// under one ID on both hops.
+// ContextWithRequestID attaches a request ID to ctx. simclient sends
+// a context's ID as the X-Request-Id header, so a job the coordinator
+// forwards logs under one ID on both hops.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, ctxKeyRequestID, id)
 }
@@ -60,24 +58,24 @@ func tracedPath(p string) bool { return p == "/v1/jobs" || p == "/v1/batch" }
 // and error bodies — and emits one structured access-log line per
 // request. A request that already carries an X-Request-Id (one a
 // coordinator assigned before forwarding) keeps it, so the fleet's
-// logs correlate end to end.
+// logs correlate end to end; a minted ID starts with the role's prefix.
 //
 // With tracing configured it also opens the request-root span,
 // adopting the caller's traceparent header — a job forwarded by the
 // coordinator parents its worker-side span tree under the coordinator
 // attempt that sent it. Without a tracer (or for a sampled-out
 // traceparent) span is nil and every downstream site costs one branch.
-func (s *Server) withObservability(next http.Handler) http.Handler {
+func (f *Front) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
-			id = fmt.Sprintf("req-%08d", s.reqSeq.Add(1))
+			id = fmt.Sprintf("%s%08d", f.role.IDPrefix, f.reqSeq.Add(1))
 		}
 		w.Header().Set("X-Request-Id", id)
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
+		ctx := ContextWithRequestID(r.Context(), id)
 		var span *tracing.Span
 		if tracedPath(r.URL.Path) {
-			span = s.tracer.Root("serve "+r.Method+" "+r.URL.Path, r.Header.Get("traceparent"), id)
+			span = f.tracer.Root(f.role.SpanPrefix+" "+r.Method+" "+r.URL.Path, r.Header.Get("traceparent"), id)
 			ctx = tracing.ContextWithSpan(ctx, span)
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -85,7 +83,10 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		span.SetAttr("status", strconv.Itoa(sw.status))
 		span.End()
-		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		if span != nil && f.role.Traced != nil {
+			go f.role.Traced(id)
+		}
+		f.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("requestId", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -93,11 +94,4 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			slog.Duration("duration", time.Since(t0).Round(time.Microsecond)),
 		)
 	})
-}
-
-// discardLogger is the default when Config.Logger is nil: structured
-// calls stay cheap and tests stay quiet. (slog.DiscardHandler needs a
-// newer toolchain than go.mod promises.)
-func discardLogger() *slog.Logger {
-	return slog.New(slog.NewJSONHandler(io.Discard, nil))
 }

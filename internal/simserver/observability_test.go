@@ -11,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"hidisc/internal/cluster"
 	"hidisc/internal/machine"
 	"hidisc/internal/simserver"
+	"hidisc/internal/workloads"
 )
 
 // rawTestServer exposes the underlying httptest server URL for tests
@@ -181,8 +183,37 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 	}
 
-	if resp, body := get(t, url+"/metrics?format=xml", ""); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown format: HTTP %d, body %s; want 400", resp.StatusCode, body)
+	// One negotiation rule for both roles: this worker, and a
+	// coordinator.
+	co := httptest.NewServer(cluster.New(cluster.Config{Scale: workloads.ScaleTest}).Handler())
+	t.Cleanup(co.Close)
+	for _, tc := range []struct{ query, accept, want string }{
+		{"", "", "json"},
+		{"?format=json", "", "json"},
+		{"?format=prom", "", "prom"},
+		{"?format=prometheus", "", "400"},
+		{"?format=xml", "", "400"},
+		{"", "text/plain", "prom"},
+		{"", "text/plain, application/json", "json"},
+		{"?format=json", "text/plain", "json"},
+	} {
+		for _, target := range []struct{ role, url string }{{"worker", url}, {"coordinator", co.URL}} {
+			resp, body := get(t, target.url+"/metrics"+tc.query, tc.accept)
+			ct := resp.Header.Get("Content-Type")
+			got := ct
+			switch {
+			case resp.StatusCode == http.StatusBadRequest:
+				got = "400"
+			case strings.HasPrefix(ct, "text/plain; version=0.0.4"):
+				got = "prom"
+			case strings.HasPrefix(ct, "application/json"):
+				got = "json"
+			}
+			if got != tc.want {
+				t.Errorf("%s /metrics%s Accept %q: got %s (HTTP %d, %.60s), want %s",
+					target.role, tc.query, tc.accept, got, resp.StatusCode, body, tc.want)
+			}
+		}
 	}
 }
 

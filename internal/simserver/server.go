@@ -5,19 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hidisc/internal/experiments"
 	"hidisc/internal/machine"
-	"hidisc/internal/mem"
 	"hidisc/internal/resultstore"
 	"hidisc/internal/simfault"
 	"hidisc/internal/stats"
@@ -83,35 +81,29 @@ func DefaultConfig(scale workloads.Scale) Config {
 	}
 }
 
-// Server wraps experiments.Runner behind the HTTP API. Create with
-// New, mount Handler on an http.Server, and call StartDraining /
-// ForceCancel from the signal path for graceful shutdown.
+// Server wraps experiments.Runner behind the HTTP API: it is the
+// worker Backend of its embedded Front. Create with New, mount Handler
+// on an http.Server, and call StartDraining / ForceCancel from the
+// signal path for graceful shutdown.
 type Server struct {
+	*Front
 	cfg     Config
 	workers int
 
-	adm    *admission
+	// slots is the simulation pool: buffered to its width, one token
+	// per running simulation. Admission (workers+queue) is the Front's.
+	slots  chan struct{}
 	flight *flightGroup
 	cache  *resultCache
 	start  time.Time
 
-	// baseCtx parents every simulation; ForceCancel cancels it, which
-	// aborts in-flight machines through the RunContext path.
-	baseCtx    context.Context
-	cancelJobs context.CancelFunc
-
-	draining atomic.Bool
-
 	mu      sync.Mutex
 	runners map[workloads.Scale]*experiments.Runner
 
-	accepted  atomic.Int64
-	rejected  atomic.Int64
 	deduped   atomic.Int64
 	cacheHits atomic.Int64
 	completed atomic.Int64
 	failed    atomic.Int64
-	avgJobNs  atomic.Int64 // EWMA of executed-job wall time
 
 	// System-of-record tier (nil store leaves these zero and the
 	// store state "off").
@@ -123,10 +115,6 @@ type Server struct {
 	storeDegraded atomic.Bool
 	storeClose    sync.Once
 	storeCloseErr error
-
-	logger *slog.Logger
-	tracer *tracing.Tracer
-	reqSeq atomic.Int64 // request-ID source
 
 	jobSeconds       *histogram // executed-job wall time
 	queueWaitSeconds *histogram // wait for a worker slot
@@ -141,38 +129,28 @@ type Server struct {
 // memo (Runner.NoMemo) — the server's bounded LRU is the only result
 // cache, so a long job stream cannot grow memory without bound.
 func New(cfg Config) *Server {
-	ctx, cancel := context.WithCancel(context.Background())
 	workers := experiments.EffectiveWorkers(cfg.Workers)
 	if cfg.Queue < 0 {
 		cfg.Queue = 0
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = discardLogger()
-	}
-	return &Server{
-		cfg:        cfg,
-		workers:    workers,
-		adm:        newAdmission(workers, cfg.Queue),
-		flight:     newFlightGroup(),
-		cache:      newResultCache(cfg.CacheEntries),
-		start:      time.Now(),
-		baseCtx:    ctx,
-		cancelJobs: cancel,
-		runners:    map[workloads.Scale]*experiments.Runner{},
-		store:      cfg.Store,
+	s := &Server{
+		cfg:     cfg,
+		workers: workers,
+		slots:   make(chan struct{}, workers),
+		flight:  newFlightGroup(),
+		cache:   newResultCache(cfg.CacheEntries),
+		start:   time.Now(),
+		runners: map[workloads.Scale]*experiments.Runner{},
+		store:   cfg.Store,
 
-		logger:           logger,
-		tracer:           cfg.Tracer,
 		jobSeconds:       newHistogram(jobLatencyBounds),
 		queueWaitSeconds: newHistogram(queueWaitBounds),
 	}
+	s.Front = NewFront(s, Role{
+		IDPrefix: "req-", SpanPrefix: "serve", Noun: "server", Admission: "admission queue",
+	}, cfg.Scale, cfg.Logger, cfg.Tracer)
+	return s
 }
-
-// Tracer returns the server's span collector (nil when tracing is
-// off) — the agent and tests read it; the coordinator reaches worker
-// spans over GET /v1/traces instead.
-func (s *Server) Tracer() *tracing.Tracer { return s.tracer }
 
 // runner returns the (lazily created) runner for a scale.
 func (s *Server) runner(scale workloads.Scale) *experiments.Runner {
@@ -187,37 +165,25 @@ func (s *Server) runner(scale workloads.Scale) *experiments.Runner {
 	return r
 }
 
-// Handler returns the server's route table, wrapped in the
-// observability middleware (request IDs + structured access log).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleJob)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	return s.withObservability(mux)
+// Admission is the worker's bound: workers+queue jobs admitted, workers
+// of them simulating.
+func (s *Server) Admission() (capacity, width int) { return s.workers + s.cfg.Queue, s.workers }
+
+// Ready is always nil: a worker can always queue.
+func (s *Server) Ready() error { return nil }
+
+// Routes mounts the liveness probe: 503 while draining, so load
+// balancers stop routing here.
+func (s *Server) Routes(mux *http.ServeMux) { mux.HandleFunc("GET /healthz", s.handleHealthz) }
+
+// WireError maps a job-execution error onto the wire (see wireError).
+func (s *Server) WireError(err error) WireError { return wireError(err) }
+
+// MetricsView snapshots the counters for GET /metrics.
+func (s *Server) MetricsView(context.Context) (any, func(io.Writer)) {
+	m := s.Metrics()
+	return m, func(w io.Writer) { s.writePrometheus(w, &m) }
 }
-
-// StartDraining flips the server into drain mode: the liveness probe
-// goes 503 (so load balancers stop routing here) and new submissions
-// are refused, while admitted jobs run to completion.
-func (s *Server) StartDraining() {
-	if s.draining.CompareAndSwap(false, true) {
-		s.logger.Info("drain started", "inFlight", s.adm.InFlight())
-	}
-}
-
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// ForceCancel aborts every in-flight simulation through the machine's
-// RunContext cancellation path (they fail as timeout faults). The
-// escape hatch when a drain deadline expires.
-func (s *Server) ForceCancel() { s.cancelJobs() }
-
-// InFlight returns the number of admitted, unfinished jobs.
-func (s *Server) InFlight() int { return s.adm.InFlight() }
 
 // Capacity returns the admission configuration (resolved worker-pool
 // width and queue depth) — what a registering worker reports to the
@@ -324,35 +290,7 @@ func (s *Server) storePut(reqCtx context.Context, key string, enc []byte, ph *ph
 	s.storePuts.Add(1)
 }
 
-// Drain enters drain mode and waits until every admitted job has
-// finished or ctx expires (ErrDrainTimeout).
-func (s *Server) Drain(ctx context.Context) error {
-	s.StartDraining()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if s.adm.InFlight() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("drain: %d jobs still in flight: %w", s.adm.InFlight(), ctx.Err())
-		case <-tick.C:
-		}
-	}
-}
-
 // --- job execution ---
-
-// outcome is one job's result in server-internal form.
-type outcome struct {
-	key     string
-	enc     []byte
-	cached  bool
-	stored  bool
-	deduped bool
-	err     error
-}
 
 // phases collects one job's per-stage durations for the slow-job log
 // line. Each field mirrors the span of the same name: when tracing is
@@ -373,21 +311,21 @@ func endPhase(sp *tracing.Span, t0 time.Time) time.Duration {
 	return sp.Duration()
 }
 
-// execute runs one validated submission through cache, dedup, and the
+// RunJob runs one admitted submission through cache, dedup, and the
 // worker pool. reqCtx governs only this caller's wait: a leader's
 // simulation runs under the server's base context (plus the job's time
 // budget) so a disconnected client cannot kill a result that other
 // submissions — or the cache — still want.
-func (s *Server) execute(reqCtx context.Context, jr JobRequest, scale workloads.Scale) outcome {
+func (s *Server) RunJob(reqCtx context.Context, jr JobRequest, scale workloads.Scale) (JobResponse, error) {
 	job, err := jr.CanonicalJob(scale)
 	if err != nil {
-		return outcome{err: badRequest(err)}
+		return JobResponse{}, err // wireError answers it 400
 	}
 	key := job.Key()
 	tracing.SpanFrom(reqCtx).SetAttr("key", key)
 	t0 := time.Now()
 	var ph phases
-	out := s.executeJob(reqCtx, jr, job, key, scale, &ph)
+	out, err := s.executeJob(reqCtx, jr, job, key, scale, &ph)
 	if s.cfg.SlowJob > 0 {
 		if wall := time.Since(t0); wall >= s.cfg.SlowJob {
 			s.logger.Warn("slow job",
@@ -399,15 +337,15 @@ func (s *Server) execute(reqCtx context.Context, jr JobRequest, scale workloads.
 				"storeReadNs", ph.storeRead.Nanoseconds(),
 				"simulateNs", ph.simulate.Nanoseconds(),
 				"storeAppendNs", ph.storeAppend.Nanoseconds(),
-				"cached", out.cached, "stored", out.stored, "deduped", out.deduped)
+				"cached", out.Cached, "stored", out.Stored, "deduped", out.Deduped)
 		}
 	}
-	return out
+	return out, err
 }
 
-// executeJob is execute's body: the cache → store → singleflight →
+// executeJob is RunJob's body: the cache → store → singleflight →
 // simulate ladder, with one span per rung.
-func (s *Server) executeJob(reqCtx context.Context, jr JobRequest, job experiments.Job, key string, scale workloads.Scale, ph *phases) outcome {
+func (s *Server) executeJob(reqCtx context.Context, jr JobRequest, job experiments.Job, key string, scale workloads.Scale, ph *phases) (JobResponse, error) {
 	// Faulted jobs are perturbed: not content-addressed, so neither
 	// cached nor deduplicated. Each gets a private Injector copy (the
 	// storm PRNG mutates).
@@ -416,13 +354,10 @@ func (s *Server) executeJob(reqCtx context.Context, jr JobRequest, job experimen
 		job.Configure = func(c *machine.Config) { c.Inject = &inj }
 		m, err := s.simulate(reqCtx, jr, job, scale, ph)
 		if err != nil {
-			return outcome{key: key, err: err}
+			return JobResponse{Key: key}, err
 		}
 		enc, err := json.Marshal(m)
-		if err != nil {
-			return outcome{key: key, err: err}
-		}
-		return outcome{key: key, enc: enc}
+		return JobResponse{Key: key, Measurement: enc}, err
 	}
 
 	sp := tracing.SpanFrom(reqCtx)
@@ -437,11 +372,11 @@ func (s *Server) executeJob(reqCtx context.Context, jr JobRequest, job experimen
 	ph.cacheLookup = endPhase(csp, tc)
 	if ok {
 		s.cacheHits.Add(1)
-		return outcome{key: key, enc: enc, cached: true}
+		return JobResponse{Key: key, Measurement: enc, Cached: true}, nil
 	}
 	if enc, ok := s.storeGet(reqCtx, key, ph); ok {
 		s.cache.Put(key, enc)
-		return outcome{key: key, enc: enc, stored: true}
+		return JobResponse{Key: key, Measurement: enc, Stored: true}, nil
 	}
 
 	// The singleflight span covers this caller's whole wait: for the
@@ -483,9 +418,9 @@ func (s *Server) executeJob(reqCtx context.Context, jr JobRequest, job experimen
 		s.deduped.Add(1)
 	}
 	if err != nil {
-		return outcome{key: key, err: err}
+		return JobResponse{Key: key}, err
 	}
-	return outcome{key: key, enc: enc, stored: fromStore && !shared, deduped: shared}
+	return JobResponse{Key: key, Measurement: enc, Stored: fromStore && !shared, Deduped: shared}, nil
 }
 
 // simulate acquires a worker slot and runs one job under its time
@@ -496,15 +431,17 @@ func (s *Server) simulate(reqCtx context.Context, jr JobRequest, job experiments
 	sp := tracing.SpanFrom(reqCtx)
 	qsp := sp.Child("serve.queue.wait")
 	tq := time.Now()
-	if err := s.adm.AcquireRun(s.baseCtx); err != nil {
+	select {
+	case s.slots <- struct{}{}:
+	case <-s.baseCtx.Done():
 		ph.queueWait = endPhase(qsp, tq)
 		return experiments.Measurement{}, &simfault.TimeoutFault{
-			Origin: "simserver", Cause: "server shutting down: " + err.Error(),
+			Origin: "simserver", Cause: "server shutting down: " + s.baseCtx.Err().Error(),
 		}
 	}
 	s.queueWaitSeconds.Observe(time.Since(tq))
 	ph.queueWait = endPhase(qsp, tq)
-	defer s.adm.ReleaseRun()
+	defer func() { <-s.slots }()
 
 	ctx := s.baseCtx
 	timeout := s.cfg.JobTimeout
@@ -561,7 +498,7 @@ func (s *Server) simulate(reqCtx context.Context, jr JobRequest, job experiments
 		}
 	}
 	ph.simulate = endPhase(ssp, t0)
-	s.observeJobTime(wall)
+	s.ObserveJobTime(wall)
 	s.jobSeconds.Observe(wall)
 	if err != nil {
 		s.failed.Add(1)
@@ -593,199 +530,16 @@ func (s *Server) simulate(reqCtx context.Context, jr JobRequest, job experiments
 	return ms[0], nil
 }
 
-// observeJobTime folds a sample into the EWMA used for Retry-After.
-func (s *Server) observeJobTime(d time.Duration) {
-	for {
-		old := s.avgJobNs.Load()
-		next := int64(d)
-		if old > 0 {
-			next = old + (int64(d)-old)/8
-		}
-		if s.avgJobNs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // --- handlers ---
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		s.writeError(w, r, WireError{Status: http.StatusServiceUnavailable, Kind: KindDraining, Message: "server is draining"})
-		return
-	}
-	var jr JobRequest
-	if err := decodeBody(w, r, &jr); err != nil {
-		s.writeError(w, r, wireError(badRequest(err)))
-		return
-	}
-	scale, err := ParseScale(jr.Scale, s.cfg.Scale)
-	if err != nil {
-		s.writeError(w, r, wireError(badRequest(err)))
-		return
-	}
-	if ok, backlog := s.adm.TryAdmit(1); !ok {
-		s.reject(w, r, backlog)
-		return
-	}
-	s.accepted.Add(1)
-	defer s.adm.Release(1)
-
-	out := s.execute(r.Context(), jr, scale)
-	if out.err != nil {
-		s.writeError(w, r, wireError(out.err))
-		return
-	}
-	writeJSON(w, http.StatusOK, JobResponse{
-		Key: out.key, Cached: out.cached, Stored: out.stored, Deduped: out.deduped, Measurement: out.enc,
-	})
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		s.writeError(w, r, WireError{Status: http.StatusServiceUnavailable, Kind: KindDraining, Message: "server is draining"})
-		return
-	}
-	var br BatchRequest
-	if err := decodeBody(w, r, &br); err != nil {
-		s.writeError(w, r, wireError(badRequest(err)))
-		return
-	}
-	scale, err := ParseScale(br.Scale, s.cfg.Scale)
-	if err != nil {
-		s.writeError(w, r, wireError(badRequest(err)))
-		return
-	}
-	jobs, err := ExpandBatch(br, scale)
-	if err != nil {
-		s.writeError(w, r, wireError(badRequest(err)))
-		return
-	}
-	if len(jobs) > s.workers+s.cfg.Queue {
-		s.writeError(w, r, WireError{
-			Status: http.StatusBadRequest, Kind: KindBadRequest,
-			Message: fmt.Sprintf("batch of %d exceeds server capacity %d; split it", len(jobs), s.workers+s.cfg.Queue),
-		})
-		return
-	}
-	if ok, backlog := s.adm.TryAdmit(len(jobs)); !ok {
-		s.reject(w, r, backlog)
-		return
-	}
-	s.accepted.Add(int64(len(jobs)))
-
-	// Stream one NDJSON line per job as it completes, out of order.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	items := make(chan BatchItem)
-	for i := range jobs {
-		go func(i int) {
-			defer s.adm.Release(1)
-			// Each job gets its own span on its own track, so concurrent
-			// jobs render as parallel Perfetto rows instead of
-			// interleaving on the request row.
-			ctx := r.Context()
-			jsp := tracing.SpanFrom(ctx).Child("serve.job")
-			if jsp != nil {
-				jsp.SetTrack(fmt.Sprintf("job[%d]", i))
-				jsp.SetAttr("index", strconv.Itoa(i))
-				ctx = tracing.ContextWithSpan(ctx, jsp)
-			}
-			jscale, serr := ParseScale(jobs[i].Scale, scale)
-			var out outcome
-			if serr != nil {
-				out = outcome{err: badRequest(serr)}
-			} else {
-				out = s.execute(ctx, jobs[i], jscale)
-			}
-			jsp.End()
-			it := BatchItem{Index: i, Key: out.key, Cached: out.cached, Stored: out.stored, Deduped: out.deduped, Measurement: out.enc}
-			if out.err != nil {
-				we := wireError(out.err)
-				we.RequestID = RequestIDFrom(r.Context())
-				it.Error = &we
-				it.Measurement = nil
-			}
-			items <- it
-		}(i)
-	}
-	enc := json.NewEncoder(w)
-	for range jobs {
-		if err := enc.Encode(<-items); err != nil {
-			// Client went away; keep consuming so the workers finish
-			// and release their admission tokens.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// ExpandBatch resolves a batch request to per-job requests. Exported
-// because the cluster coordinator expands batches the same way before
-// routing each job to its ring owner.
-func ExpandBatch(br BatchRequest, scale workloads.Scale) ([]JobRequest, error) {
-	switch {
-	case br.Matrix != "" && len(br.Jobs) > 0:
-		return nil, errors.New("set either matrix or jobs, not both")
-	case br.Matrix == "fig8":
-		var jrs []JobRequest
-		for _, j := range experiments.Fig8Jobs(mem.DefaultHierConfig(), scale) {
-			jrs = append(jrs, JobRequest{Workload: j.Workload, Arch: j.Arch})
-		}
-		return jrs, nil
-	case br.Matrix != "":
-		return nil, fmt.Errorf("unknown matrix %q (want \"fig8\")", br.Matrix)
-	case len(br.Jobs) == 0:
-		return nil, errors.New("empty batch")
-	}
-	return br.Jobs, nil
-}
-
-// handleMetrics content-negotiates between the JSON MetricsSnapshot
-// (the default, what simclient consumes) and the Prometheus text
-// exposition (Accept: text/plain — what a scraper sends — or an
-// explicit ?format=prom). Both views are rendered from one snapshot,
-// so the counters always agree.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	switch {
-	case format == "prom",
-		format == "" && strings.Contains(r.Header.Get("Accept"), "text/plain"):
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.writePrometheus(w)
-	case format == "" || format == "json":
-		writeJSON(w, http.StatusOK, s.Metrics())
-	default:
-		s.writeError(w, r, WireError{
-			Status: http.StatusBadRequest, Kind: KindBadRequest,
-			Message: fmt.Sprintf("unknown metrics format %q (want \"json\" or \"prom\")", format),
-		})
-	}
-}
-
-// handleTraces dumps the span ring as NDJSON, optionally filtered by
-// ?request=<id>. With tracing off the body is empty — the endpoint
-// stays mounted so probes don't need to know the configuration.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.tracer == nil {
-		return
-	}
-	_ = s.tracer.WriteNDJSON(w, r.URL.Query().Get("request"))
-}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]string{"status": "ok", "store": s.storeState()}
 	if s.Draining() {
 		body["status"] = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // Metrics snapshots the server counters.
@@ -815,12 +569,12 @@ func (s *Server) Metrics() MetricsSnapshot {
 	}
 	return MetricsSnapshot{
 		Accepted:      s.accepted.Load(),
-		Rejected:      s.rejected.Load(),
+		Rejected:      s.Rejected(),
 		Deduped:       s.deduped.Load(),
 		CacheHits:     s.cacheHits.Load(),
 		Completed:     s.completed.Load(),
 		Failed:        s.failed.Load(),
-		InFlight:      int64(s.adm.InFlight()),
+		InFlight:      int64(s.InFlight()),
 		CacheEntries:  s.cache.Len(),
 		Workers:       s.workers,
 		Queue:         s.cfg.Queue,
@@ -834,54 +588,4 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Throughput:    tp.String(),
 		Runtime:       ReadRuntimeMetrics(),
 	}
-}
-
-// reject answers 429 with a Retry-After estimate.
-func (s *Server) reject(w http.ResponseWriter, r *http.Request, backlog int) {
-	s.rejected.Add(1)
-	secs := retryAfter(backlog, s.workers, time.Duration(s.avgJobNs.Load()))
-	s.logger.Warn("admission rejected",
-		"requestId", RequestIDFrom(r.Context()), "backlog", backlog, "retryAfterSeconds", secs)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.writeError(w, r, WireError{
-		Status: http.StatusTooManyRequests, Kind: KindOverloaded,
-		Message: fmt.Sprintf("admission queue full (%d jobs in flight); retry in %ds", backlog, secs),
-	})
-}
-
-// --- plumbing ---
-
-// badRequestError marks request-shaped failures before a simulation
-// ever starts.
-type badRequestError struct{ err error }
-
-func (e badRequestError) Error() string { return e.err.Error() }
-func (e badRequestError) Unwrap() error { return e.err }
-
-func badRequest(err error) error { return badRequestError{err} }
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError stamps the request ID onto the wire error so a client can
-// quote it back when reporting a failure, logs it, and renders the
-// standard error body.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, we WireError) {
-	we.RequestID = RequestIDFrom(r.Context())
-	level := slog.LevelWarn
-	if we.Status >= http.StatusInternalServerError {
-		level = slog.LevelError
-	}
-	s.logger.Log(r.Context(), level, "request error",
-		"requestId", we.RequestID, "status", we.Status, "kind", we.Kind, "message", we.Message)
-	writeJSON(w, we.Status, ErrorBody{Err: we})
 }
