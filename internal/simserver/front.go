@@ -328,10 +328,12 @@ func (f *Front) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 		f.admitted += n
 	}
 	f.mu.Unlock()
-	sp.SetAttr("ok", strconv.FormatBool(ok))
-	sp.SetAttr("jobs", strconv.Itoa(n))
-	sp.SetAttr("backlog", strconv.Itoa(backlog))
-	sp.End()
+	if sp != nil {
+		sp.SetAttr("ok", strconv.FormatBool(ok))
+		sp.SetAttr("jobs", strconv.Itoa(n))
+		sp.SetAttr("backlog", strconv.Itoa(backlog))
+		sp.End()
+	}
 	if ok {
 		f.accepted.Add(int64(n))
 		return true
