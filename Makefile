@@ -105,9 +105,14 @@ bench-ab:
 # simulate exactly the same total cycle count as BENCH_fig8.json on
 # disk (wall time may drift with the host; cycles may not), and every
 # zero-allocation steady-state pin must still hold — a hot-loop
-# allocation is a performance regression even when cycles agree.
+# allocation is a performance regression even when cycles agree. The
+# compile stages are pinned too: the cache profile must run exactly the
+# reference's instructions, and the reaching-definitions chains and
+# both separated bundles of all nine workloads must match their golden
+# digests.
 bench-guard:
 	$(GO) test -run 'Alloc' ./internal/cpu ./internal/queue ./internal/mem ./internal/profile
+	$(GO) test -run 'TestProfileMatchesReference|TestCompileGolden' ./internal/profile ./internal/slicer
 	$(GO) run ./cmd/hidisc-bench -bench-json .bench-guard.json -bench-reps 1
 	@want=$$(sed -n 's/.*"totalSimCycles": \([0-9]*\).*/\1/p' BENCH_fig8.json); \
 	got=$$(sed -n 's/.*"totalSimCycles": \([0-9]*\).*/\1/p' .bench-guard.json); \
