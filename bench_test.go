@@ -351,6 +351,23 @@ func BenchmarkFunctionalSim(b *testing.B) {
 	reportThroughput(b, 0, int64(insts)*int64(b.N)) // functional: no cycle model
 }
 
+// BenchmarkCompile measures workload set-up: a fresh Runner compiling
+// the seven Figure 8 workloads at test scale (assembly, the functional
+// cache-profile pass and both stream separations). It is the set-up
+// cost the Figure 8 matrix and every service worker pay once per
+// workload.
+func BenchmarkCompile(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := experiments.NewRunner(workloads.ScaleTest)
+		for _, name := range workloads.Names() {
+			if _, err := r.Compile(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkStreamSeparation measures compiler throughput.
 func BenchmarkStreamSeparation(b *testing.B) {
 	p := mustAssemble(b, "micro", microKernel)

@@ -39,6 +39,25 @@ func TestRunnerVerifiesAndCaches(t *testing.T) {
 	}
 }
 
+// TestRunnerChecksMemoryImage pins invariant 1 on every job: a machine
+// whose final memory image differs from the functional reference's
+// fails the job, even when its output lines are right.
+func TestRunnerChecksMemoryImage(t *testing.T) {
+	r := NewRunner(workloads.ScaleTest)
+	r.NoMemo = true
+	c, err := r.Compile("Field")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run("Field", machine.HiDISC, r.Hier); err != nil {
+		t.Fatal(err)
+	}
+	c.MemHash ^= 1
+	if _, err := r.Run("Field", machine.HiDISC, r.Hier); err == nil || !strings.Contains(err.Error(), "memory image") {
+		t.Errorf("run against a wrong reference image: err = %v, want a memory-image mismatch", err)
+	}
+}
+
 func TestRunnerUnknownWorkload(t *testing.T) {
 	r := NewRunner(workloads.ScaleTest)
 	if _, err := r.Run("nonsense", machine.Superscalar, r.Hier); err == nil {

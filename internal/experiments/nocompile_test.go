@@ -9,11 +9,12 @@ import (
 )
 
 // TestNoCompileMachineParity is the machine-level differential test
-// for the compiled fnsim fast path: a runner whose reference run and
-// cache profile come from the basic-block-compiled simulator must
-// produce measurements bit-identical to a NoCompile (pure interpreter)
-// runner — same cycles, same stats, same machine.Result — for every
-// workload x architecture. The paper-scale matrix is skipped in short
+// for the compiled fnsim fast path: a runner whose cache-profile pass,
+// which is also its functional reference, runs on the
+// basic-block-compiled simulator must produce measurements
+// bit-identical to a NoCompile (pure interpreter) runner — same
+// cycles, same stats, same machine.Result — for every workload x
+// architecture. The paper-scale matrix is skipped in short
 // mode and under the race detector (see raceEnabled); the test-scale
 // matrix always runs.
 func TestNoCompileMachineParity(t *testing.T) {
@@ -41,8 +42,9 @@ func TestNoCompileMachineParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("interp-path compile: %v", err)
 					}
-					if cf.SeqInsts != ci.SeqInsts {
-						t.Errorf("SeqInsts: compiled %d, interp %d", cf.SeqInsts, ci.SeqInsts)
+					if cf.SeqInsts != ci.SeqInsts || cf.MemHash != ci.MemHash {
+						t.Errorf("reference: compiled %d insts, memory %#x; interp %d, %#x",
+							cf.SeqInsts, cf.MemHash, ci.SeqInsts, ci.MemHash)
 					}
 					for _, arch := range machine.Arches {
 						mf, err := fast.Run(name, arch, fast.Hier)

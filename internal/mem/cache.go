@@ -53,12 +53,14 @@ func (s CacheStats) DemandMissRate() float64 {
 	return float64(s.DemandMisses) / float64(s.DemandAccesses)
 }
 
+// cacheLine is one way of a set. The fields are ordered widest first so
+// a line packs into 16 bytes and a 4-way set fits one 64-byte host line.
 type cacheLine struct {
-	valid      bool
-	tag        uint32 // block address (addr >> blockBits)
-	dirty      bool
-	prefetched bool   // filled by a CMP prefetch, not yet touched by demand
 	lastUse    uint64 // LRU timestamp
+	tag        uint32 // block address (addr >> blockBits)
+	valid      bool
+	dirty      bool
+	prefetched bool // filled by a CMP prefetch, not yet touched by demand
 }
 
 // Cache is one timing-only set-associative cache level with true LRU

@@ -298,6 +298,11 @@ func (h *Hierarchy) Stats() HierStats {
 	}
 }
 
+// L1DemandMisses returns the L1 data cache's demand-miss count, the
+// one counter the cache-profile pass reads after every access; it
+// copies no statistics.
+func (h *Hierarchy) L1DemandMisses() uint64 { return h.L1D.stats.DemandMisses }
+
 // FaultState summarises the hierarchy for a fault snapshot: MSHR
 // entries whose fill has not completed by cycle now, plus the demand
 // traffic at both levels.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func mustCache(t *testing.T, cfg CacheConfig) *Cache {
@@ -379,10 +380,25 @@ func TestHierarchyValidation(t *testing.T) {
 	}
 }
 
+// TestCacheLineSize pins the tag-array entry at 16 bytes: every
+// machine and every profiling pass allocates sets*ways of them per
+// level, and four ways then share one 64-byte host cache line.
+func TestCacheLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(cacheLine{}); got != 16 {
+		t.Errorf("cacheLine is %d bytes, want 16", got)
+	}
+}
+
 func TestHierarchyReset(t *testing.T) {
 	h := defaultHier(t)
 	h.Access(0, 0x1000_0000, false, false)
+	if got := h.L1DemandMisses(); got != 1 || got != h.Stats().L1D.DemandMisses {
+		t.Errorf("L1DemandMisses = %d, stats %d, want 1", got, h.Stats().L1D.DemandMisses)
+	}
 	h.Reset()
+	if got := h.L1DemandMisses(); got != 0 {
+		t.Errorf("L1DemandMisses after reset = %d", got)
+	}
 	s := h.Stats()
 	if s.L1D.Accesses != 0 || s.InFlightAtReset != 0 {
 		t.Errorf("stats after reset: %+v", s)

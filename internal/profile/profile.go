@@ -44,12 +44,17 @@ func (s PCStats) Strided() bool {
 // Stride returns the last observed address delta.
 func (s PCStats) Stride() int32 { return s.lastStride }
 
-// Profile is the result of a cache-profiling run.
+// Profile is the result of a cache-profiling run. The run executes the
+// sequential program to completion, so it is also the program's
+// functional reference: ExecutedInsts, Output and MemHash are what
+// fnsim.RunProgram reports for the same program.
 type Profile struct {
 	PerPC         map[int]PCStats
 	TotalAccesses uint64
 	TotalMisses   uint64
 	ExecutedInsts uint64
+	Output        []string // the program's OUT lines
+	MemHash       uint64   // checksum of the final memory image
 }
 
 // CacheProfile runs the sequential program to completion on the
@@ -90,9 +95,9 @@ func cacheProfile(p *isa.Program, hcfg mem.HierConfig, maxInsts uint64, noCompil
 		// per-instruction clock the previous Observer implementation
 		// advanced — access times are bit-identical.
 		now := int64(sim.InstCount())
-		missesBefore := hier.Stats().L1D.DemandMisses
+		missesBefore := hier.L1DemandMisses()
 		hier.Access(now, addr, !isLoad, false)
-		missed := hier.Stats().L1D.DemandMisses > missesBefore
+		missed := hier.L1DemandMisses() > missesBefore
 		st := &perPC[pc]
 		if st.Accesses > 0 {
 			delta := int32(addr - st.prevAddr)
@@ -113,6 +118,8 @@ func cacheProfile(p *isa.Program, hcfg mem.HierConfig, maxInsts uint64, noCompil
 		return nil, err
 	}
 	prof.ExecutedInsts = sim.InstCount()
+	prof.Output = sim.Output()
+	prof.MemHash = sim.Mem.Checksum()
 	prof.PerPC = make(map[int]PCStats, len(p.Insts))
 	for pc := range perPC {
 		if perPC[pc].Accesses > 0 {

@@ -55,32 +55,53 @@ const (
 	ScalePaper
 )
 
-// All returns the seven benchmarks of Figure 8 in presentation order.
-func All(s Scale) []*Workload {
-	return []*Workload{
-		DataManagement(s),
-		RayTrace(s),
-		Pointer(s),
-		Update(s),
-		Field(s),
-		Neighborhood(s),
-		TransitiveClosure(s),
-	}
+// entry names one workload and builds it, with its input, source text
+// and reference output, at a given scale.
+type entry struct {
+	name  string
+	build func(Scale) *Workload
 }
+
+// table lists every workload in presentation order: the seven
+// benchmarks of Figure 8 first, then the extras. Each entry builds only
+// its own workload, so ByName constructs just the one asked for.
+var table = []entry{
+	{"DM", DataManagement},
+	{"RayTray", RayTrace},
+	{"Pointer", Pointer},
+	{"Update", Update},
+	{"Field", Field},
+	{"NB", Neighborhood},
+	{"TC", TransitiveClosure},
+	{"Matrix", Matrix},
+	{"CornerTurn", CornerTurn},
+}
+
+// numFigure is how many leading table entries Figure 8 plots.
+const numFigure = 7
+
+func build(entries []entry, s Scale) []*Workload {
+	ws := make([]*Workload, len(entries))
+	for i, e := range entries {
+		ws[i] = e.build(s)
+	}
+	return ws
+}
+
+// All returns the seven benchmarks of Figure 8 in presentation order.
+func All(s Scale) []*Workload { return build(table[:numFigure], s) }
 
 // Extra returns the stressmarks that complete the seven-member DIS
 // suite but do not appear in the paper's figures (which plot five
 // stressmarks plus two DIS benchmark kernels).
-func Extra(s Scale) []*Workload {
-	return []*Workload{Matrix(s), CornerTurn(s)}
-}
+func Extra(s Scale) []*Workload { return build(table[numFigure:], s) }
 
 // ByName returns the named workload (figure set or extras) at the
 // given scale.
 func ByName(name string, s Scale) (*Workload, error) {
-	for _, w := range append(All(s), Extra(s)...) {
-		if w.Name == name {
-			return w, nil
+	for _, e := range table {
+		if e.name == name {
+			return e.build(s), nil
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)
@@ -88,7 +109,11 @@ func ByName(name string, s Scale) (*Workload, error) {
 
 // Names lists the benchmark names in figure order.
 func Names() []string {
-	return []string{"DM", "RayTray", "Pointer", "Update", "Field", "NB", "TC"}
+	names := make([]string, numFigure)
+	for i := range names {
+		names[i] = table[i].name
+	}
+	return names
 }
 
 // lcg steps the shared linear congruential generator used by the

@@ -29,6 +29,11 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("ByName(%q): %v", w.Name, err)
 		}
 	}
+	for _, e := range table {
+		if w := e.build(ScaleTest); w.Name != e.name {
+			t.Errorf("table entry %q builds workload %q", e.name, w.Name)
+		}
+	}
 	if _, err := ByName("nonsense", ScaleTest); err == nil {
 		t.Error("ByName accepted unknown name")
 	}
