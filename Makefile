@@ -2,13 +2,19 @@
 # ROADMAP.md). Individual targets are provided for quick local loops.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: ci build vet test race fuzz-smoke bench bench-smoke bench-json bench-ab bench-guard serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
+.PHONY: ci fmt build vet test race fuzz-smoke bench bench-smoke bench-json bench-ab bench-guard serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
 
-ci: vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
+ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fail when gofmt would rewrite any file.
+fmt:
+	@out=$$($(GOFMT) -l .); \
+	if [ -n "$$out" ]; then echo "gofmt: unformatted files:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...

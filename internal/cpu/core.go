@@ -90,6 +90,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxWindowSize bounds Config.WindowSize: the window ring must fit one
+// uint64 of slot bits, so every per-cycle scan (issue, writeback, the
+// idle wakeup and the oldest-branch probe) is a bitmap walk. Table 1's
+// largest window is 64 entries.
+const MaxWindowSize = 64
+
+// maxQueueSize bounds the LSQ and IFQ: their ring positions must fit
+// the 16-bit slot field of a Handle with NoHandle's slot left free.
+const maxQueueSize = 1 << 15
+
+// Validate checks the configuration after defaults are applied.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.WindowSize < 1 || c.WindowSize > MaxWindowSize {
+		return fmt.Errorf("cpu %s: WindowSize %d outside 1..%d", c.Name, c.WindowSize, MaxWindowSize)
+	}
+	if c.LSQSize < 1 || c.LSQSize > maxQueueSize {
+		return fmt.Errorf("cpu %s: LSQSize %d outside 1..%d", c.Name, c.LSQSize, maxQueueSize)
+	}
+	if c.IFQSize < 1 || c.IFQSize > maxQueueSize {
+		return fmt.Errorf("cpu %s: IFQSize %d outside 1..%d", c.Name, c.IFQSize, maxQueueSize)
+	}
+	return nil
+}
+
 // QueueSet wires a core to the architectural queues it may consume
 // (Pop) and produce (Push), and to the per-CMAS slip-control queues.
 type QueueSet struct {
@@ -129,7 +154,7 @@ type Stats struct {
 type Handle uint32
 
 // NoHandle is the nil Handle; its slot field (0xffff) is reserved —
-// New rejects window sizes that could allocate it.
+// Validate rejects structure sizes that could allocate it.
 const NoHandle Handle = ^Handle(0)
 
 // String renders a handle as slot.generation for trace consumers.
@@ -483,21 +508,19 @@ type Core struct {
 	fetchCQPeek  int // control-queue tokens consumed by instructions still in the IFQ
 	nextSeq      int64
 
-	// The window is a power-of-two ring of value-typed entries; winHead
-	// and winTail are absolute position counters (position & winMask is
-	// the slot). The backing array never moves after New, so *entry
-	// pointers taken within a cycle stay valid; only Handles may be
-	// stored across cycles. stat, due and waiters are per-slot side
-	// arrays: stat packs the issued/completed/ctl flags the issue,
-	// writeback and wakeup scans test (skipping an entry then touches
-	// one byte, not a cold 200-byte struct), due mirrors completeAt,
-	// and waiters lists the in-window consumers parked on the slot's
+	// The window is a power-of-two ring of at most MaxWindowSize
+	// value-typed entries; winHead and winTail are absolute position
+	// counters (position & winMask is the slot). The backing array never
+	// moves after New, so *entry pointers taken within a cycle stay
+	// valid; only Handles may be stored across cycles. due and waiters
+	// are per-slot side arrays: due mirrors completeAt (so the writeback
+	// and wakeup scans read one word, not a cold 200-byte entry), and
+	// waiters lists the in-window consumers parked on the slot's
 	// occupant as an operand producer.
 	win     []entry
 	winMask uint32
 	winHead int64
 	winTail int64
-	stat    []uint8
 	due     []int64
 	waiters [][]Handle
 
@@ -514,28 +537,16 @@ type Core struct {
 	ifqHead int64
 	ifqTail int64
 
-	// nUnissued counts window entries not yet issued, so the issue scan
-	// can stop as soon as it has visited all of them instead of walking
-	// the issued-waiting-commit tail of the window every cycle.
-	// nInflight counts issued-but-incomplete entries the same way for
-	// the writeback scan. issueHead is the window position of the first
-	// unissued entry (entries never revert to unissued in the window),
-	// so the issue scan also skips the issued prefix stuck behind a
-	// blocked head.
-	nUnissued int
-	nInflight int
-	issueHead int64
-
-	// Slot bitmaps (active when bmOK, i.e. the window ring fits in 64
-	// slots — every shipped configuration; larger windows fall back to
-	// the counted linear scans). Bit s describes the occupant of slot s:
+	// Slot bitmaps, one uint64 since the ring has at most 64 slots
+	// (bmSize of them; bmMask covers them). Bit s describes the occupant
+	// of slot s:
 	//   readyBm    — unissued entries the issue scan could advance. An
 	//                entry proven operand-blocked drops out and is put
 	//                back by the wake that delivers the operand
 	//                (wakeWaiters or queueWake); entries blocked on
 	//                anything else — LSQ disambiguation, a busy
 	//                functional unit or cache port — stay in and are
-	//                re-visited, exactly as the linear scan would.
+	//                re-visited every scan.
 	//   inflightBm — issued but not completed (the writeback scan).
 	//   ctlBm      — control entries not yet resolved (the
 	//                releasePushes oldest-unresolved-branch probe).
@@ -543,7 +554,6 @@ type Core struct {
 	// set bits, which preserves program order — completion order is
 	// architecturally visible (the oldest mispredicted branch must
 	// squash first).
-	bmOK       bool
 	bmSize     uint32
 	bmMask     uint64
 	readyBm    uint64
@@ -563,9 +573,6 @@ type Core struct {
 	issueClean   bool
 	issueEpoch   int64
 	issueRetryAt int64
-	// nCtlPending counts unresolved control entries so releasePushes can
-	// skip its oldest-unresolved-branch scan when no branch is in flight.
-	nCtlPending int
 
 	// rename maps an architectural register to its youngest in-window
 	// producer: a dense array indexed by register number (int and FP
@@ -647,12 +654,12 @@ func pow2at(n int) int {
 }
 
 // New builds a core executing prog against the shared memory image and
-// hierarchy.
+// hierarchy. It panics on a configuration Validate rejects.
 func New(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy, qs QueueSet) *Core {
-	cfg = cfg.withDefaults()
-	if cfg.WindowSize > 1<<15 || cfg.LSQSize > 1<<15 || cfg.IFQSize > 1<<15 {
-		panic("cpu: structure sizes beyond 1<<15 do not fit the 16-bit handle slot")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	cfg = cfg.withDefaults()
 	mk := func(n int) fuPool { return fuPool{busyUntil: make([]int64, n)} }
 	c := &Core{
 		cfg:      cfg,
@@ -677,18 +684,10 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy, qs Queu
 	for i := range c.win {
 		c.win[i].slot = uint16(i)
 	}
-	c.stat = make([]uint8, winSize)
 	c.due = make([]int64, winSize)
 	c.waiters = make([][]Handle, winSize)
-	if winSize <= 64 {
-		c.bmOK = true
-		c.bmSize = uint32(winSize)
-		if winSize == 64 {
-			c.bmMask = ^uint64(0)
-		} else {
-			c.bmMask = uint64(1)<<winSize - 1
-		}
-	}
+	c.bmSize = uint32(winSize)
+	c.bmMask = ^uint64(0) >> (64 - winSize)
 	lq := pow2at(cfg.LSQSize)
 	c.lsqRing = make([]Handle, lq)
 	c.lsqMask = uint32(lq - 1)
@@ -804,13 +803,6 @@ func (c *Core) queueWake(tag uint64) {
 // most once each per cycle). An idle cycle changes nothing else, so
 // later idle cycles with unchanged inputs bump exactly the same set —
 // which is what makes crediting a fast-forwarded span exact.
-// Flags packed into Core.stat, one byte per window slot.
-const (
-	stIssued uint8 = 1 << iota
-	stCompleted
-	stCtl
-)
-
 type idleStalls struct {
 	fetch       int64
 	dispatch    int64
@@ -928,24 +920,10 @@ func (c *Core) CycleEv(now int64) (int64, error) {
 // producing core's wakeup drives them — so they contribute MaxInt64.
 func (c *Core) nextWake(now int64) int64 {
 	wake := int64(math.MaxInt64)
-	if c.bmOK {
-		// Order doesn't matter for a minimum; iterate raw slot bits.
-		for bm := c.inflightBm; bm != 0; bm &= bm - 1 {
-			if d := c.due[bits.TrailingZeros64(bm)]; d > now && d < wake {
-				wake = d
-			}
-		}
-	} else {
-		remaining := c.nInflight
-		for p := c.winHead; p < c.winTail && remaining > 0; p++ {
-			slot := uint32(p) & c.winMask
-			if c.stat[slot]&(stIssued|stCompleted) != stIssued {
-				continue
-			}
-			remaining--
-			if d := c.due[slot]; d > now && d < wake {
-				wake = d
-			}
+	// Order doesn't matter for a minimum; iterate raw slot bits.
+	for bm := c.inflightBm; bm != 0; bm &= bm - 1 {
+		if d := c.due[bits.TrailingZeros64(bm)]; d > now && d < wake {
+			wake = d
 		}
 	}
 	for _, p := range [...]*fuPool{&c.intALU, &c.intMulDv, &c.fpALU, &c.fpMulDv, &c.memPorts} {
@@ -1131,22 +1109,10 @@ func queuesHaveSpace(pushes []pushOp) bool {
 // serialise the two streams into lockstep.
 func (c *Core) releasePushes(now int64) {
 	oldestUnresolved := int64(math.MaxInt64)
-	if c.nCtlPending > 0 {
-		if c.bmOK {
-			if bm := c.rotBm(c.ctlBm); bm != 0 {
-				head := uint32(c.winHead) & c.winMask
-				slot := (head + uint32(bits.TrailingZeros64(bm))) & c.winMask
-				oldestUnresolved = c.win[slot].seq
-			}
-		} else {
-			for p := c.winHead; p < c.winTail; p++ {
-				slot := uint32(p) & c.winMask
-				if c.stat[slot]&(stCtl|stCompleted) == stCtl {
-					oldestUnresolved = c.win[slot].seq
-					break
-				}
-			}
-		}
+	if bm := c.rotBm(c.ctlBm); bm != 0 {
+		head := uint32(c.winHead) & c.winMask
+		slot := (head + uint32(bits.TrailingZeros64(bm))) & c.winMask
+		oldestUnresolved = c.win[slot].seq
 	}
 	for c.pushHead < len(c.pushList) {
 		ref := c.pushList[c.pushHead]
@@ -1266,7 +1232,7 @@ func (c *Core) ifqLen() int { return int(c.ifqTail - c.ifqHead) }
 
 // rotBm rotates a slot bitmap so bit 0 corresponds to the window
 // head's slot; trailing-zero iteration then yields window positions in
-// program order. Only meaningful when bmOK.
+// program order.
 func (c *Core) rotBm(bm uint64) uint64 {
 	h := uint32(c.winHead) & c.winMask
 	return (bm>>h | bm<<(c.bmSize-h)) & c.bmMask
@@ -1277,41 +1243,17 @@ func (c *Core) writeback(now int64) {
 		return // no in-flight completion is due yet (see minComplete)
 	}
 	pending := int64(math.MaxInt64)
-	if c.bmOK {
-		head := uint32(c.winHead) & c.winMask
-		for bm := c.rotBm(c.inflightBm); bm != 0; bm &= bm - 1 {
-			o := uint32(bits.TrailingZeros64(bm))
-			slot := (head + o) & c.winMask
-			if d := c.due[slot]; d > now {
-				if d < pending {
-					pending = d
-				}
-				continue
-			}
-			if c.completeEntry(now, c.winHead+int64(o), slot) {
-				return // window changed; stop scanning
-			}
-		}
-		c.minComplete = pending
-		return
-	}
-	remaining := c.nInflight
-	for p := c.winHead; p < c.winTail; p++ {
-		if remaining == 0 {
-			break // every in-flight entry has been visited
-		}
-		slot := uint32(p) & c.winMask
-		if c.stat[slot]&(stIssued|stCompleted) != stIssued {
-			continue
-		}
-		remaining--
+	head := uint32(c.winHead) & c.winMask
+	for bm := c.rotBm(c.inflightBm); bm != 0; bm &= bm - 1 {
+		o := uint32(bits.TrailingZeros64(bm))
+		slot := (head + o) & c.winMask
 		if d := c.due[slot]; d > now {
 			if d < pending {
 				pending = d
 			}
 			continue
 		}
-		if c.completeEntry(now, p, slot) {
+		if c.completeEntry(now, c.winHead+int64(o), slot) {
 			return // window changed; stop scanning
 		}
 	}
@@ -1326,15 +1268,10 @@ func (c *Core) writeback(now int64) {
 func (c *Core) completeEntry(now, p int64, slot uint32) bool {
 	e := &c.win[slot]
 	e.completed = true
-	c.stat[slot] |= stCompleted
 	bit := uint64(1) << slot
 	c.inflightBm &^= bit
+	c.ctlBm &^= bit
 	c.issueClean = false // a completion delivers operands / resolves stores
-	c.nInflight--
-	if e.isCtl {
-		c.nCtlPending--
-		c.ctlBm &^= bit
-	}
 	c.worked = true
 	if len(c.waiters[slot]) > 0 {
 		c.wakeWaiters(slot, e)
@@ -1377,14 +1314,6 @@ func (c *Core) squashAfter(pos int64) {
 				q.Unclaim(1)
 			}
 		}
-		if !w.issued {
-			c.nUnissued--
-		} else if !w.completed {
-			c.nInflight--
-		}
-		if w.isCtl && !w.completed {
-			c.nCtlPending--
-		}
 		if w.isLoad || w.isStore {
 			// The LSQ is position-ordered, so squashing the window tail
 			// truncates exactly the LSQ tail.
@@ -1399,9 +1328,6 @@ func (c *Core) squashAfter(pos int64) {
 		c.winTail--
 	}
 	c.issueClean = false
-	if c.issueHead > c.winTail {
-		c.issueHead = c.winTail
-	}
 	// Rebuild the rename table from survivors (completed producers
 	// included: a later consumer still captures their result).
 	for i := range c.rename {
@@ -1428,36 +1354,13 @@ func (c *Core) issue(now int64) error {
 	}
 	retryAt := int64(math.MaxInt64)
 	issued := 0
-	if c.bmOK {
-		// Dense path: visit only the candidate slots, in program order.
-		// Operand-blocked entries are not in readyBm, so an occupied
-		// window stalled on far operands costs a popcount, not a walk.
-		head := uint32(c.winHead) & c.winMask
-		for bm := c.rotBm(c.readyBm); bm != 0 && issued < c.cfg.IssueWidth; bm &= bm - 1 {
-			o := uint32(bits.TrailingZeros64(bm))
-			c.issueVisit(now, (head+o)&c.winMask, &issued, &retryAt)
-		}
-	} else {
-		remaining := c.nUnissued
-		i := c.issueHead
-		if i < c.winHead {
-			i = c.winHead
-		}
-		for i < c.winTail && c.stat[uint32(i)&c.winMask]&stIssued != 0 {
-			i++
-		}
-		c.issueHead = i
-		for ; i < c.winTail; i++ {
-			if remaining == 0 || issued >= c.cfg.IssueWidth {
-				break
-			}
-			slot := uint32(i) & c.winMask
-			if c.stat[slot]&stIssued != 0 {
-				continue
-			}
-			remaining--
-			c.issueVisit(now, slot, &issued, &retryAt)
-		}
+	// Visit only the candidate slots, in program order. Operand-blocked
+	// entries are not in readyBm, so an occupied window stalled on far
+	// operands costs a popcount, not a walk.
+	head := uint32(c.winHead) & c.winMask
+	for bm := c.rotBm(c.readyBm); bm != 0 && issued < c.cfg.IssueWidth; bm &= bm - 1 {
+		o := uint32(bits.TrailingZeros64(bm))
+		c.issueVisit(now, (head+o)&c.winMask, &issued, &retryAt)
 	}
 	// A scan that issued anything may have unblocked entries it already
 	// passed (or was truncated by the issue width); only a fully
@@ -1486,10 +1389,7 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 		}
 		if e.addrReady && e.srcsBuf[1].ready && !e.issued {
 			e.issued = true
-			c.stat[slot] |= stIssued
 			c.due[slot] = now + 1
-			c.nUnissued--
-			c.nInflight++
 			c.readyBm &^= bit
 			c.inflightBm |= bit
 			e.completed = false
@@ -1521,10 +1421,7 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 				e.execErr = err
 			}
 			e.issued = true
-			c.stat[slot] |= stIssued
 			c.due[slot] = now + 1
-			c.nUnissued--
-			c.nInflight++
 			c.readyBm &^= bit
 			c.inflightBm |= bit
 			e.completeAt = now + 1
@@ -1544,10 +1441,7 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 		done := c.hier.Access(now, e.addr, false, c.cfg.Prefetching || c.deco[e.pc].op == isa.PREF)
 		c.loadValue(e)
 		e.issued = true
-		c.stat[slot] |= stIssued
 		c.due[slot] = done
-		c.nUnissued--
-		c.nInflight++
 		c.readyBm &^= bit
 		c.inflightBm |= bit
 		e.completeAt = done
@@ -1573,7 +1467,6 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 		return // unit-blocked: stays a candidate
 	}
 	c.execute(now, e, d)
-	c.stat[slot] |= stIssued
 	c.due[slot] = e.completeAt
 	c.readyBm &^= bit
 	c.inflightBm |= bit
@@ -1781,8 +1674,6 @@ func (c *Core) execute(now int64, e *entry, d *dec) {
 		e.execErr = err
 	}
 	e.issued = true
-	c.nUnissued--
-	c.nInflight++
 	e.completeAt = now + d.lat
 	if e.completeAt < c.minComplete {
 		c.minComplete = e.completeAt
@@ -1974,25 +1865,12 @@ func (c *Core) dispatchInsts(now int64) {
 			}
 		}
 
-		var st uint8
-		if e.issued {
-			st |= stIssued
-		} else {
-			c.nUnissued++
+		if !e.issued {
 			c.readyBm |= uint64(1) << slot
 		}
-		if e.completed {
-			st |= stCompleted
+		if e.isCtl && !e.completed {
+			c.ctlBm |= uint64(1) << slot
 		}
-		if e.isCtl {
-			st |= stCtl
-			if !e.completed {
-				c.nCtlPending++
-				c.ctlBm |= uint64(1) << slot
-			}
-		}
-		c.stat[slot] = st
-		c.due[slot] = e.completeAt
 		c.issueClean = false // the new entry is an issue candidate
 	}
 }

@@ -223,6 +223,9 @@ func New(b *slicer.Bundle, cfg Config) (*Machine, error) {
 		wc := cfg.Wide
 		wc.HasMem = true
 		wc.EnableTriggers = cfg.Arch == CPCMP
+		if err := wc.Validate(); err != nil {
+			return nil, fmt.Errorf("machine: %w", err)
+		}
 		wireStorm(&wc)
 		wireTrace(&wc)
 		core := cpu.New(wc, b.Seq, m.mem, m.hier, cpu.QueueSet{SCQ: m.scq})
@@ -233,6 +236,11 @@ func New(b *slicer.Bundle, cfg Config) (*Machine, error) {
 		}
 
 	case CPAP, HiDISC:
+		for _, cc := range []cpu.Config{cfg.CP, cfg.AP} {
+			if err := cc.Validate(); err != nil {
+				return nil, fmt.Errorf("machine: %w", err)
+			}
+		}
 		m.ldq = queue.New("ldq", cfg.LDQCap)
 		m.sdq = queue.New("sdq", cfg.SDQCap)
 		m.cq = queue.New("cq", cfg.CQCap)

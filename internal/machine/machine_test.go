@@ -330,6 +330,22 @@ func TestUnknownArchRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedWindowRejected: a core window beyond cpu.MaxWindowSize
+// (here set the way a Configure hook would) fails machine construction
+// with an error naming the field, instead of panicking inside cpu.New.
+func TestOversizedWindowRejected(t *testing.T) {
+	b := compileKernel(t, "calls", false)
+	for _, arch := range []Arch{CPAP, HiDISC, Superscalar} {
+		cfg := DefaultConfig(arch)
+		cfg.CP.WindowSize = 128
+		cfg.Wide.WindowSize = 128
+		_, err := New(b, cfg)
+		if err == nil || !strings.Contains(err.Error(), "WindowSize") {
+			t.Errorf("%s: New with a 128-entry window returned %v, want a WindowSize error", arch, err)
+		}
+	}
+}
+
 func TestCPHasNoMemoryTraffic(t *testing.T) {
 	// In the decoupled modes every data access goes through the AP: the
 	// demand access count must match a superscalar run of the same

@@ -55,8 +55,8 @@ func TestHierarchyProbeSeesTraffic(t *testing.T) {
 	}
 	p := &fillProbe{}
 	h.SetProbe(p)
-	h.Access(0, 0x1000, false, false)  // cold: L1 and L2 miss, one fill
-	h.Access(0, 0x9000, false, true)   // prefetch miss
+	h.Access(0, 0x1000, false, false) // cold: L1 and L2 miss, one fill
+	h.Access(0, 0x9000, false, true)  // prefetch miss
 	if p.misses < 2 {
 		t.Errorf("probe saw %d misses, want >= 2 (l1d+l2 per cold access)", p.misses)
 	}

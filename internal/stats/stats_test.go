@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"hidisc/internal/asm"
-	"hidisc/internal/isa"
 	"hidisc/internal/fnsim"
+	"hidisc/internal/isa"
 	"hidisc/internal/machine"
 	"hidisc/internal/mem"
 	"hidisc/internal/slicer"

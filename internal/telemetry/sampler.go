@@ -177,15 +177,15 @@ type Timeline struct {
 	Cores    []string
 	Queues   []string
 
-	Cycle         []int64
-	CoreIPC       [][]float64 // committed per cycle over the interval, per core
-	CoreCommitted [][]uint64  // committed instructions in the interval
-	CoreLOD       [][]float64 // fraction of interval the oldest entry waited on a queue
-	CoreMemWait   [][]float64 // fraction of interval the oldest entry waited on memory
-	QueueOcc      [][]int     // occupancy at the boundary, per queue
-	L1DMissRate   []float64   // demand misses / demand accesses over the interval
-	L2MissRate    []float64
-	MSHROcc       []int // fills in flight at the boundary
+	Cycle          []int64
+	CoreIPC        [][]float64 // committed per cycle over the interval, per core
+	CoreCommitted  [][]uint64  // committed instructions in the interval
+	CoreLOD        [][]float64 // fraction of interval the oldest entry waited on a queue
+	CoreMemWait    [][]float64 // fraction of interval the oldest entry waited on memory
+	QueueOcc       [][]int     // occupancy at the boundary, per queue
+	L1DMissRate    []float64   // demand misses / demand accesses over the interval
+	L2MissRate     []float64
+	MSHROcc        []int // fills in flight at the boundary
 	PrefetchIssued []uint64
 	PrefetchUseful []uint64
 }

@@ -8,7 +8,8 @@
 # that only ever adds time. Each individual run is itself -bench-reps 1
 # so a round is one full matrix pass per binary.
 #
-# Requires a clean enough tree to `git worktree add` the old ref.
+# The old ref is unpacked with `git archive`, so the working tree may be
+# dirty and no worktree metadata is left behind.
 set -eu
 
 OLD_REF=$1
@@ -17,15 +18,16 @@ GO=${GO:-go}
 WORK=.bench-ab
 rm -rf "$WORK"
 mkdir -p "$WORK"
-trap 'git worktree remove --force "$WORK/src" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'rm -rf "$WORK"' EXIT
 
 echo "bench-ab: building new (working tree)" >&2
 $GO build -o "$WORK/bench-new" ./cmd/hidisc-bench
 
 echo "bench-ab: building old ($OLD_REF)" >&2
-git worktree add --detach --force "$WORK/src" "$OLD_REF" >/dev/null
+mkdir -p "$WORK/src"
+git archive "$OLD_REF" | tar -x -C "$WORK/src"
 (cd "$WORK/src" && $GO build -o ../bench-old ./cmd/hidisc-bench)
-git worktree remove --force "$WORK/src"
+rm -rf "$WORK/src"
 
 total() {
     sed -n 's/.*"totalWallSeconds": \([0-9.]*\).*/\1/p' "$1"
