@@ -115,9 +115,11 @@ bench-ab:
 # compile stages are pinned too: the cache profile must run exactly the
 # reference's instructions, and the reaching-definitions chains and
 # both separated bundles of all nine workloads must match their golden
-# digests.
+# digests. The closed-form timing checks run before the cycle total, so a
+# drift names the latency formula that broke, not only the total.
 bench-guard:
 	$(GO) test -run 'Alloc' ./internal/cpu ./internal/queue ./internal/mem ./internal/profile
+	$(GO) test -run 'TestClosedFormTiming' ./internal/cpu
 	$(GO) test -run 'TestProfileMatchesReference|TestCompileGolden' ./internal/profile ./internal/slicer
 	$(GO) run ./cmd/hidisc-bench -bench-json .bench-guard.json -bench-reps 1
 	@want=$$(sed -n 's/.*"totalSimCycles": \([0-9]*\).*/\1/p' BENCH_fig8.json); \

@@ -109,9 +109,10 @@ func main() {
 	memProfilePath = *memProfile
 	defer stopProfiles()
 
-	sc := workloads.ScalePaper
-	if *scale == "test" {
-		sc = workloads.ScaleTest
+	sc, err := workloads.ParseScale(*scale, workloads.ScalePaper)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hidisc-bench: -scale:", err)
+		os.Exit(2)
 	}
 	if !(*t1 || *f8 || *t2 || *f9 || *f10 || *lod || *extras) {
 		*all = true

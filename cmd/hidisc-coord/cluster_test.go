@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -507,5 +508,24 @@ func TestClusterFleetDrain(t *testing.T) {
 	}
 	if err := coordCmd.Wait(); err != nil {
 		t.Errorf("coordinator did not drain cleanly: %v", err)
+	}
+}
+
+// TestUnknownScaleRejected pins the -scale flag of every binary that
+// takes one: a mistyped name exits with status 2 and names the value,
+// instead of silently running at paper scale.
+func TestUnknownScaleRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess e2e")
+	}
+	for _, pkg := range []string{"cmd/hidisc-sim", "cmd/hidisc-bench", "cmd/hidisc-serve", "cmd/hidisc-coord"} {
+		out, err := exec.Command(buildBin(t, pkg), "-scale", "Test").CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s -scale Test: %v, want exit status 2\n%s", pkg, err, out)
+		}
+		if !bytes.Contains(out, []byte(`"Test"`)) {
+			t.Errorf("%s -scale Test: message does not name the value: %s", pkg, out)
+		}
 	}
 }

@@ -57,9 +57,10 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty disables; never exposed on -addr)")
 	flag.Parse()
 
-	sc := workloads.ScalePaper
-	if *scale == "test" {
-		sc = workloads.ScaleTest
+	sc, err := workloads.ParseScale(*scale, workloads.ScalePaper)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hidisc-coord: -scale:", err)
+		os.Exit(2)
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 

@@ -74,9 +74,10 @@ func main() {
 	smoke := flag.Bool("smoke", false, "self-test: serve, run one job via the client, SIGTERM, verify clean drain")
 	flag.Parse()
 
-	sc := workloads.ScalePaper
-	if *scale == "test" {
-		sc = workloads.ScaleTest
+	sc, err := workloads.ParseScale(*scale, workloads.ScalePaper)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hidisc-serve: -scale:", err)
+		os.Exit(2)
 	}
 	// All operational output is structured JSON on stderr: the server's
 	// request/job logs and this process's lifecycle lines share one

@@ -54,6 +54,11 @@ func main() {
 	flag.Parse()
 
 	faultDumpDir = *dumpDir
+	sc, err := workloads.ParseScale(*scale, workloads.ScalePaper)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hidisc-sim: -scale:", err)
+		os.Exit(2)
+	}
 	if *compare && (*traceFile != "" || *timelineFile != "") {
 		fatal(fmt.Errorf("-trace/-timeline record one machine; they cannot be combined with -compare"))
 	}
@@ -71,10 +76,6 @@ func main() {
 	var p *isa.Program
 	switch {
 	case *workload != "":
-		sc := workloads.ScalePaper
-		if *scale == "test" {
-			sc = workloads.ScaleTest
-		}
 		w, werr := workloads.ByName(*workload, sc)
 		if werr != nil {
 			fatal(werr)

@@ -1,41 +1,13 @@
-// Package bpred implements the branch predictors used by the cores.
-// The paper's configuration is a bimodal predictor with a 2048-entry
-// table of 2-bit saturating counters (Table 1); a gshare variant is
-// provided for ablation studies, and a small return-address stack plus
-// branch target buffer predict indirect jumps.
+// Package bpred implements the branch prediction structures used by the
+// cores: the paper's bimodal predictor, a 2048-entry table of 2-bit
+// saturating counters (Table 1), plus a small return-address stack and
+// branch target buffer that predict indirect jumps.
 package bpred
-
-// Predictor predicts conditional branch directions and is trained with
-// resolved outcomes.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc
-	// (an instruction index).
-	Predict(pc int) bool
-	// Update trains the predictor with the resolved outcome.
-	Update(pc int, taken bool)
-	// Stats returns prediction counters.
-	Stats() Stats
-}
-
-// Stats counts predictor performance.
-type Stats struct {
-	Lookups     uint64
-	Mispredicts uint64
-}
-
-// MispredictRate returns mispredicts per lookup.
-func (s Stats) MispredictRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Lookups)
-}
 
 // Bimodal is a table of 2-bit saturating counters indexed by PC.
 type Bimodal struct {
 	table []uint8
 	mask  int
-	stats Stats
 }
 
 // NewBimodal returns a bimodal predictor with the given table size,
@@ -52,19 +24,15 @@ func NewBimodal(size int) *Bimodal {
 	return &Bimodal{table: t, mask: size - 1}
 }
 
-// Predict returns true when the counter's top bit is set.
+// Predict returns the predicted direction for the branch at pc (an
+// instruction index): true when the counter's top bit is set.
 func (b *Bimodal) Predict(pc int) bool {
-	b.stats.Lookups++
 	return b.table[pc&b.mask] >= 2
 }
 
-// Update trains the counter and counts mispredicts against the
-// prediction the table would make now (standard counter training).
+// Update trains the counter with the resolved outcome.
 func (b *Bimodal) Update(pc int, taken bool) {
 	c := &b.table[pc&b.mask]
-	if (*c >= 2) != taken {
-		b.stats.Mispredicts++
-	}
 	if taken {
 		if *c < 3 {
 			*c++
@@ -73,84 +41,6 @@ func (b *Bimodal) Update(pc int, taken bool) {
 		*c--
 	}
 }
-
-// Stats returns prediction counters.
-func (b *Bimodal) Stats() Stats { return b.stats }
-
-// GShare is a global-history-xor-PC indexed table of 2-bit counters;
-// provided for the predictor ablation bench.
-type GShare struct {
-	table   []uint8
-	mask    int
-	history uint32
-	bits    uint
-	stats   Stats
-}
-
-// NewGShare returns a gshare predictor with the given table size
-// (power of two) and history length in bits.
-func NewGShare(size int, historyBits uint) *GShare {
-	if size <= 0 || size&(size-1) != 0 {
-		panic("bpred: gshare size must be a positive power of two")
-	}
-	t := make([]uint8, size)
-	for i := range t {
-		t[i] = 2
-	}
-	return &GShare{table: t, mask: size - 1, bits: historyBits}
-}
-
-func (g *GShare) index(pc int) int {
-	return (pc ^ int(g.history)) & g.mask
-}
-
-// Predict returns the predicted direction.
-func (g *GShare) Predict(pc int) bool {
-	g.stats.Lookups++
-	return g.table[g.index(pc)] >= 2
-}
-
-// Update trains the counter and shifts the outcome into the history.
-func (g *GShare) Update(pc int, taken bool) {
-	c := &g.table[g.index(pc)]
-	if (*c >= 2) != taken {
-		g.stats.Mispredicts++
-	}
-	if taken {
-		if *c < 3 {
-			*c++
-		}
-	} else if *c > 0 {
-		*c--
-	}
-	g.history = (g.history << 1) & ((1 << g.bits) - 1)
-	if taken {
-		g.history |= 1
-	}
-}
-
-// Stats returns prediction counters.
-func (g *GShare) Stats() Stats { return g.stats }
-
-// Taken always predicts taken; used for the CMP's simple in-order
-// engine and as a degenerate baseline.
-type Taken struct{ stats Stats }
-
-// NewTaken returns an always-taken predictor.
-func NewTaken() *Taken { return &Taken{} }
-
-// Predict returns true.
-func (p *Taken) Predict(int) bool { p.stats.Lookups++; return true }
-
-// Update counts mispredicts only.
-func (p *Taken) Update(_ int, taken bool) {
-	if !taken {
-		p.stats.Mispredicts++
-	}
-}
-
-// Stats returns prediction counters.
-func (p *Taken) Stats() Stats { return p.stats }
 
 // BTB is a direct-mapped branch target buffer for indirect jumps.
 type BTB struct {

@@ -45,19 +45,6 @@ func TestBimodalAliasing(t *testing.T) {
 	}
 }
 
-func TestBimodalMispredictCounting(t *testing.T) {
-	b := NewBimodal(16)
-	// Initial state weakly taken: a not-taken outcome is a mispredict.
-	b.Update(0, false)
-	if got := b.Stats().Mispredicts; got != 1 {
-		t.Errorf("mispredicts = %d, want 1", got)
-	}
-	b.Update(0, false) // now predicted not-taken: correct
-	if got := b.Stats().Mispredicts; got != 1 {
-		t.Errorf("mispredicts = %d, want 1", got)
-	}
-}
-
 func TestBimodalPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -65,50 +52,6 @@ func TestBimodalPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	NewBimodal(3)
-}
-
-func TestGShareUsesHistory(t *testing.T) {
-	g := NewGShare(256, 8)
-	// Alternating branch at one PC: bimodal cannot learn it, gshare can
-	// after warmup because the history disambiguates the two contexts.
-	outcome := false
-	for i := 0; i < 64; i++ {
-		g.Update(10, outcome)
-		outcome = !outcome
-	}
-	correct := 0
-	for i := 0; i < 64; i++ {
-		if g.Predict(10) == outcome {
-			correct++
-		}
-		g.Update(10, outcome)
-		outcome = !outcome
-	}
-	if correct < 60 {
-		t.Errorf("gshare learned alternating pattern %d/64", correct)
-	}
-}
-
-func TestTakenPredictor(t *testing.T) {
-	p := NewTaken()
-	if !p.Predict(1) {
-		t.Error("Taken predicted not-taken")
-	}
-	p.Update(1, false)
-	p.Update(1, true)
-	if p.Stats().Mispredicts != 1 {
-		t.Errorf("mispredicts = %d, want 1", p.Stats().Mispredicts)
-	}
-}
-
-func TestMispredictRate(t *testing.T) {
-	s := Stats{Lookups: 10, Mispredicts: 3}
-	if got := s.MispredictRate(); got != 0.3 {
-		t.Errorf("rate = %v", got)
-	}
-	if (Stats{}).MispredictRate() != 0 {
-		t.Error("empty stats rate should be 0")
-	}
 }
 
 func TestBTB(t *testing.T) {

@@ -99,16 +99,6 @@ func (r *Ring) Has(node string) bool { return r.nodes[node] }
 // Len returns the number of (real) nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Pick returns the node owning key: the first virtual node clockwise
 // from the key's hash. Empty ring picks "".
 func (r *Ring) Pick(key string) string {

@@ -12,12 +12,11 @@ import (
 // CMPConfig parameterises the Cache Management Processor: a
 // multithreaded in-order engine with the integer and load/store
 // resources of Table 1 (4 ALUs, 2 cache ports). Each CMAS id owns at
-// most one thread context; a trigger forks the context with the Access
-// Processor's architectural registers.
+// most one thread context, so no more contexts are live than the slicer
+// emits slices (eight at most); a trigger forks the context with the
+// Access Processor's architectural registers.
 type CMPConfig struct {
-	Contexts          int    // maximum live contexts (default 8)
 	IssueWidth        int    // in-order issue width per context per cycle (default 4)
-	MemPorts          int    // cache ports per cycle, engine wide (default 2)
 	MaxInstsPerThread uint64 // runaway guard (default 1 << 20)
 
 	// DynamicDistance enables runtime control of the prefetching
@@ -33,15 +32,12 @@ type CMPConfig struct {
 	MaxDynamicDistance int32 // offset cap in bytes (default 512)
 }
 
+// cmpMemPorts is the engine-wide number of cache ports per cycle.
+const cmpMemPorts = 2
+
 func (c CMPConfig) withDefaults() CMPConfig {
-	if c.Contexts == 0 {
-		c.Contexts = 8
-	}
 	if c.IssueWidth == 0 {
 		c.IssueWidth = 4
-	}
-	if c.MemPorts == 0 {
-		c.MemPorts = 2
 	}
 	if c.MaxInstsPerThread == 0 {
 		c.MaxInstsPerThread = 1 << 20
@@ -206,10 +202,6 @@ func (e *CMPEngine) Fork(id int, ir *[isa.NumIntRegs]uint32, fr *[isa.NumFPRegs]
 		e.stats.ForksIgnored++
 		return
 	}
-	if e.ActiveContexts() >= e.cfg.Contexts {
-		e.stats.ForksIgnored++
-		return
-	}
 	e.ctxs[id] = cmpCtx{active: true, intR: *ir, fpR: *fr}
 	if id < len(e.scq) && e.scq[id] != nil {
 		// Retire the previous slip-control queue generation and start a
@@ -347,7 +339,7 @@ func (e *CMPEngine) cycle(now int64) error {
 			if !c.srcReady(now, d) {
 				break
 			}
-			if d.isMem && ports >= e.cfg.MemPorts {
+			if d.isMem && ports >= cmpMemPorts {
 				break // port contention: retry next cycle
 			}
 			advanced, usedPort, taken, err := e.step(now, id, c, in)

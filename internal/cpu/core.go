@@ -37,9 +37,6 @@ type Config struct {
 	// HasMem permits load/store execution; the Computation Processor
 	// of the decoupled configurations has no memory access.
 	HasMem bool
-	// Prefetching marks this core's memory accesses as prefetches in
-	// the hierarchy statistics (the CMP).
-	Prefetching bool
 	// EnableTriggers forks CMAS threads at trigger annotations.
 	EnableTriggers bool
 	// BlockingSCQ makes GETSCQ wait for a slip-control credit (the
@@ -60,12 +57,16 @@ type Config struct {
 	// fault injector's mispredict storms. Nil costs one pointer check
 	// per fetched branch (pinned by the AllocsPerRun tests).
 	ForceMispredict func(now int64) bool
-
-	PredictorKind string // "bimodal" (default), "gshare", or "taken"
-	PredictorSize int    // predictor table entries (default 2048)
-	BTBSize       int    // default 64
-	RASDepth      int    // default 8
 }
+
+// The Table 1 branch predictor: a bimodal table of 2048 2-bit counters,
+// plus a branch target buffer and return-address stack for indirect
+// jumps.
+const (
+	predictorSize = 2048
+	btbSize       = 64
+	rasDepth      = 8
+)
 
 func (c Config) withDefaults() Config {
 	def := func(p *int, v int) {
@@ -84,9 +85,6 @@ func (c Config) withDefaults() Config {
 	def(&c.FPALU, 4)
 	def(&c.FPMulDv, 1)
 	def(&c.MemPorts, 2)
-	def(&c.PredictorSize, 2048)
-	def(&c.BTBSize, 64)
-	def(&c.RASDepth, 8)
 	return c
 }
 
@@ -598,7 +596,7 @@ type Core struct {
 	// the issue path indexes instead of branching through a switch.
 	pools [poolMem + 1]*fuPool
 
-	pred bpred.Predictor
+	pred *bpred.Bimodal
 	btb  *bpred.BTB
 	ras  *bpred.RAS
 
@@ -673,9 +671,9 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy, qs Queu
 		fpALU:    mk(cfg.FPALU),
 		fpMulDv:  mk(cfg.FPMulDv),
 		memPorts: mk(cfg.MemPorts),
-		pred:     newPredictor(cfg),
-		btb:      bpred.NewBTB(cfg.BTBSize),
-		ras:      bpred.NewRAS(cfg.RASDepth),
+		pred:     bpred.NewBimodal(predictorSize),
+		btb:      bpred.NewBTB(btbSize),
+		ras:      bpred.NewRAS(rasDepth),
 	}
 	c.deco = decodeProg(prog.Insts)
 	winSize := pow2at(cfg.WindowSize)
@@ -733,21 +731,6 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy, qs Queu
 	return c
 }
 
-func newPredictor(cfg Config) bpred.Predictor {
-	switch cfg.PredictorKind {
-	case "", "bimodal":
-		return bpred.NewBimodal(cfg.PredictorSize)
-	case "gshare":
-		return bpred.NewGShare(cfg.PredictorSize, 8)
-	case "taken":
-		return bpred.NewTaken()
-	}
-	panic(fmt.Sprintf("cpu: unknown predictor kind %q", cfg.PredictorKind))
-}
-
-// PredictorStats returns the branch predictor's counters.
-func (c *Core) PredictorStats() bpred.Stats { return c.pred.Stats() }
-
 // Halted reports whether the core has committed HALT.
 func (c *Core) Halted() bool { return c.halted }
 
@@ -764,11 +747,6 @@ func (c *Core) Output() []string { return c.output }
 
 // Name returns the configured core name.
 func (c *Core) Name() string { return c.cfg.Name }
-
-// SnapshotRegs returns the committed architectural register state.
-func (c *Core) SnapshotRegs() ([isa.NumIntRegs]uint32, [isa.NumFPRegs]float64) {
-	return c.intR, c.fpR
-}
 
 // IntReg returns a committed integer register value (tests).
 func (c *Core) IntReg(r isa.Reg) uint32 { return c.intR[r] }
@@ -1199,7 +1177,7 @@ func (c *Core) pushPlan(e *entry) []pushOp {
 }
 
 func (c *Core) storeCommit(now int64, e *entry) {
-	c.hier.Access(now, e.addr, true, c.cfg.Prefetching)
+	c.hier.Access(now, e.addr, true, false)
 	v := e.srcsBuf[1].val
 	switch c.deco[e.pc].op {
 	case isa.SW:
@@ -1438,7 +1416,7 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 			}
 			return // port-blocked: stays a candidate
 		}
-		done := c.hier.Access(now, e.addr, false, c.cfg.Prefetching || c.deco[e.pc].op == isa.PREF)
+		done := c.hier.Access(now, e.addr, false, c.deco[e.pc].op == isa.PREF)
 		c.loadValue(e)
 		e.issued = true
 		c.due[slot] = done
@@ -2105,29 +2083,6 @@ func (c *Core) FaultState() simfault.CoreState {
 		cs.Head = h
 	}
 	return cs
-}
-
-// DescribeHead reports the oldest window entry's state for deadlock
-// diagnostics.
-func (c *Core) DescribeHead() string {
-	if c.winHead >= c.winTail {
-		return fmt.Sprintf("%s: window empty, pc=%d fetchStopped=%v ifq=%d", c.cfg.Name, c.pc, c.fetchStopped, c.ifqLen())
-	}
-	e := &c.win[uint32(c.winHead)&c.winMask]
-	s := fmt.Sprintf("%s head: pc=%d %q issued=%v completed=%v completeAt=%d addrReady=%v",
-		c.cfg.Name, e.pc, c.prog.Insts[e.pc].String(), e.issued, e.completed, e.completeAt, e.addrReady)
-	for i := 0; i < int(e.nsrc); i++ {
-		src := &e.srcsBuf[i]
-		s += fmt.Sprintf(" src%d(%v ready=%v", i, src.reg, src.ready)
-		if src.qref != nil {
-			s += fmt.Sprintf(" q=%s seq=%d qready=%v", src.qref.Name(), src.qseq, src.qref.Ready(src.qseq))
-		}
-		if p := c.at(src.producer); p != nil {
-			s += fmt.Sprintf(" prod=pc%d done=%v", p.pc, p.completed)
-		}
-		s += ")"
-	}
-	return s
 }
 
 // accountStalls attributes head-of-window wait reasons for the LOD

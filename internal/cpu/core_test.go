@@ -579,26 +579,22 @@ loop:   addi $r1, $r1, -1
 
 func TestTextTracerFiltersAndFormats(t *testing.T) {
 	var sb strings.Builder
-	tr := &TextTracer{W: &sb, FromCycle: 0, ToCycle: 0, OnlyStages: map[Stage]bool{StageCommit: true}}
+	tr := &TextTracer{W: &sb, ToCycle: 20}
 	tr.Event(TraceEvent{Cycle: 5, Core: "cp", Stage: StageCommit, PC: 3, Seq: 7,
 		Inst: isa.Inst{Op: isa.ADD, Rd: isa.R1, Rs: isa.R2, Rt: isa.R3}, Note: "x"})
-	tr.Event(TraceEvent{Cycle: 6, Core: "cp", Stage: StageIssue})
 	out := sb.String()
 	if !strings.Contains(out, "commit") || !strings.Contains(out, "add $r1, $r2, $r3") || !strings.Contains(out, "; x") {
 		t.Errorf("format: %q", out)
 	}
-	if strings.Contains(out, "issue") {
-		t.Error("stage filter did not apply")
-	}
-	tr2 := &TextTracer{W: &sb, FromCycle: 10, ToCycle: 20}
 	sb.Reset()
-	tr2.Event(TraceEvent{Cycle: 5, Stage: StageCommit})
-	tr2.Event(TraceEvent{Cycle: 25, Stage: StageCommit})
+	tr.Event(TraceEvent{Cycle: 25, Stage: StageCommit})
 	if sb.Len() != 0 {
-		t.Error("cycle window filter did not apply")
+		t.Error("ToCycle bound did not apply")
 	}
 }
 
+// TestPredictorKinds runs the core's one predictor, the Table 1 bimodal
+// table, on a loop with a data-dependent branch.
 func TestPredictorKinds(t *testing.T) {
 	src := `
 main:   li   $r1, 100
@@ -615,34 +611,14 @@ skip:   addi $r1, $r1, -1
 `
 	p := mustAssemble(t, "t", src)
 	want, _ := fnsim.RunProgram(p, 100000)
-	for _, kind := range []string{"bimodal", "gshare", "taken"} {
-		c, _ := runCore(t, src, Config{Name: kind, PredictorKind: kind})
-		if c.Output()[0] != want.Output[0] {
-			t.Errorf("%s: output %v, want %v", kind, c.Output(), want.Output)
-		}
-		if c.PredictorStats().Lookups == 0 {
-			t.Errorf("%s: predictor never consulted", kind)
-		}
+	c, _ := runCore(t, src, Config{Name: "bimodal"})
+	if c.Output()[0] != want.Output[0] {
+		t.Errorf("output %v, want %v", c.Output(), want.Output)
 	}
-	// Always-taken must mispredict every loop exit and more.
-	taken, _ := runCore(t, src, Config{Name: "taken", PredictorKind: "taken"})
-	bimodal, _ := runCore(t, src, Config{Name: "bimodal"})
-	if taken.Stats().Mispredicts < bimodal.Stats().Mispredicts {
-		t.Errorf("taken (%d mispredicts) beat bimodal (%d)",
-			taken.Stats().Mispredicts, bimodal.Stats().Mispredicts)
+	// The beq follows a data-dependent bit no 2-bit counter can learn.
+	if c.Stats().Mispredicts == 0 {
+		t.Error("no mispredicts on a data-dependent branch")
 	}
-}
-
-func TestUnknownPredictorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown predictor kind accepted")
-		}
-	}()
-	p := mustAssemble(t, "t", "main: halt")
-	m := mem.NewMemory()
-	h, _ := mem.NewHierarchy(mem.DefaultHierConfig())
-	New(Config{Name: "x", PredictorKind: "oracle"}, p, m, h, QueueSet{})
 }
 
 // TestConfigValidate pins the window bound: every window that fits one

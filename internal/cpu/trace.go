@@ -46,20 +46,15 @@ type Tracer interface {
 }
 
 // TextTracer renders events as aligned text lines, optionally limited
-// to a cycle window.
+// to the first ToCycle cycles.
 type TextTracer struct {
-	W          io.Writer
-	FromCycle  int64
-	ToCycle    int64 // 0 = unbounded
-	OnlyStages map[Stage]bool
+	W       io.Writer
+	ToCycle int64 // 0 = unbounded
 }
 
 // Event writes one formatted line.
 func (t *TextTracer) Event(ev TraceEvent) {
-	if ev.Cycle < t.FromCycle || (t.ToCycle > 0 && ev.Cycle > t.ToCycle) {
-		return
-	}
-	if t.OnlyStages != nil && !t.OnlyStages[ev.Stage] {
+	if t.ToCycle > 0 && ev.Cycle > t.ToCycle {
 		return
 	}
 	note := ev.Note

@@ -152,16 +152,6 @@ func (s *Sim) FPReg(r isa.Reg) float64 {
 	return s.fpR[r.FPIndex()]
 }
 
-// SetIntReg sets an integer register (tests and harnesses).
-func (s *Sim) SetIntReg(r isa.Reg, v uint32) {
-	if !r.IsInt() {
-		panic(fmt.Sprintf("fnsim: SetIntReg(%v)", r))
-	}
-	if r != isa.R0 {
-		s.intR[r] = v
-	}
-}
-
 // Run executes until HALT or maxInsts instructions, whichever first.
 // It returns an error for invalid executions (queue operands in a
 // sequential program, division by zero, PC out of range).

@@ -159,10 +159,6 @@ func Decode(w Word) (Inst, error) {
 	return in, nil
 }
 
-// StoreData returns the register holding the value stored by a store
-// instruction (the Rt operand).
-func (in Inst) StoreData() Reg { return in.Rt }
-
 // MaxSources is the largest number of source operands any instruction
 // reads (SourceList's array size).
 const MaxSources = 3

@@ -53,16 +53,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// LabelAt returns a code label attached to instruction index i, if any.
-func (p *Program) LabelAt(i int) (string, bool) {
-	for name, idx := range p.Labels {
-		if idx == i {
-			return name, true
-		}
-	}
-	return "", false
-}
-
 // Listing renders a human-readable disassembly listing with labels.
 func (p *Program) Listing() string {
 	byIdx := make(map[int][]string)

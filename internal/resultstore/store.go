@@ -255,9 +255,6 @@ func Open(dir string, opts Options) (*Store, RecoveryReport, error) {
 // Recovery returns the report from this store's Open.
 func (s *Store) Recovery() RecoveryReport { return s.report }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of records.
 func (s *Store) Len() int {
 	s.mu.RLock()

@@ -10,7 +10,7 @@ import (
 
 // Backoff is the client's retry policy: bounded, context-aware,
 // jittered exponential backoff with server override. Delays grow as
-// Base·Factorⁿ, are clamped to Cap, and are then jittered down by up
+// Base·2ⁿ, are clamped to Cap, and are then jittered down by up
 // to the Jitter fraction so a fleet of clients retrying after one
 // server restart doesn't reconverge as a synchronized thundering herd.
 // A 429's Retry-After header is authoritative and replaces the
@@ -43,8 +43,6 @@ type Backoff struct {
 	// Cap bounds any single computed delay (default 5s). Retry-After
 	// may exceed it: the server's word wins.
 	Cap time.Duration
-	// Factor is the exponential growth rate (default 2).
-	Factor float64
 	// Jitter in [0,1] is the fraction of each delay that is
 	// randomized (default 0.5: delays land in [d/2, d]).
 	Jitter float64
@@ -77,13 +75,6 @@ func (b *Backoff) cap() time.Duration {
 		return b.Cap
 	}
 	return 5 * time.Second
-}
-
-func (b *Backoff) factor() float64 {
-	if b.Factor > 1 {
-		return b.Factor
-	}
-	return 2
 }
 
 func (b *Backoff) jitter() float64 {
@@ -122,9 +113,8 @@ func (b *Backoff) random() float64 {
 // (0-based: Delay(0) follows the first failure).
 func (b *Backoff) Delay(attempt int) time.Duration {
 	d := float64(b.base())
-	f := b.factor()
 	for i := 0; i < attempt && d < float64(b.cap()); i++ {
-		d *= f
+		d *= 2
 	}
 	if d > float64(b.cap()) {
 		d = float64(b.cap())

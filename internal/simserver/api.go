@@ -228,24 +228,11 @@ func wireError(err error) WireError {
 
 // ParseScale resolves a wire scale name against a default.
 func ParseScale(s string, def workloads.Scale) (workloads.Scale, error) {
-	switch s {
-	case "":
-		return def, nil
-	case "test":
-		return workloads.ScaleTest, nil
-	case "paper":
-		return workloads.ScalePaper, nil
-	}
-	return def, fmt.Errorf("unknown scale %q (want \"test\" or \"paper\")", s)
+	return workloads.ParseScale(s, def)
 }
 
 // ScaleName is the wire name of a workload scale.
-func ScaleName(s workloads.Scale) string {
-	if s == workloads.ScalePaper {
-		return "paper"
-	}
-	return "test"
-}
+func ScaleName(s workloads.Scale) string { return workloads.ScaleName(s) }
 
 // MetricsSnapshot is the GET /metrics payload.
 type MetricsSnapshot struct {

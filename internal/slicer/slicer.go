@@ -41,8 +41,6 @@ type Options struct {
 	// still account for most total misses, and the CMAS covers them).
 	MinMissRatio float64
 	MinMisses    uint64
-	// MaxCMAS bounds the number of slices (default 8).
-	MaxCMAS int
 	// PrefetchDistance is the byte offset added to CMAS prefetches of
 	// seeds the profile identified as strided (default 256). It is the
 	// static form of the runtime prefetch-distance control the paper
@@ -65,15 +63,16 @@ type Options struct {
 	BlockingHandshake bool
 }
 
+// maxCMAS bounds the number of slices, and with it the number of CMP
+// thread contexts that can be live at once.
+const maxCMAS = 8
+
 func (o Options) withDefaults() Options {
 	if o.MinMissRatio == 0 {
 		o.MinMissRatio = 0.02
 	}
 	if o.MinMisses == 0 {
 		o.MinMisses = 256
-	}
-	if o.MaxCMAS == 0 {
-		o.MaxCMAS = 8
 	}
 	if o.PrefetchDistance == 0 {
 		o.PrefetchDistance = 128
@@ -114,10 +113,6 @@ type Bundle struct {
 	OrigOfCS []int
 	OrigOfAS []int
 }
-
-// CSIndexOf returns the table translating original instruction indices
-// to Computation Stream indices; the CP uses it to resolve JCQ targets.
-func (b *Bundle) CSIndexOf() []int { return b.CSPos }
 
 // Separate runs stream separation on the sequential program p.
 func Separate(p *isa.Program, opts Options) (*Bundle, error) {
@@ -625,7 +620,7 @@ func (s *separator) planCMAS() error {
 		headerI := s.g.Blocks[l.Header].Start
 		pl := byHeader[headerI]
 		if pl == nil {
-			if len(byHeader) == s.opts.MaxCMAS {
+			if len(byHeader) == maxCMAS {
 				continue
 			}
 			pl = &loopPlan{loop: l, headerI: headerI}

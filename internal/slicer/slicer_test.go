@@ -2,10 +2,12 @@ package slicer
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hidisc/internal/asm"
+	"hidisc/internal/cpu"
 	"hidisc/internal/fnsim"
 	"hidisc/internal/isa"
 	"hidisc/internal/mem"
@@ -753,6 +755,76 @@ loop:   lw   $r3, 0($r2)
 	}
 	if !found {
 		t.Errorf("no PREF with +192 distance:\n%s", b.Report())
+	}
+}
+
+// TestSliceCapBoundsCMPContexts pins the slice cap: nine delinquent
+// strided loops separate into exactly maxCMAS slices, the loop with the
+// fewest misses is the one left out, and a CMP built from the slices
+// holds all of them live at once (one context per CMAS id).
+func TestSliceCapBoundsCMPContexts(t *testing.T) {
+	// Trip counts in program order; every access touches a new line, so
+	// a loop's misses grow with its trip count. The smallest is in the
+	// middle so the test cannot pass by keeping the first eight loops.
+	trips := []int{700, 500, 900, 300, 1000, 600, 800, 400, 1100}
+	const dropped = 3
+	var sb strings.Builder
+	sb.WriteString("        .data\n")
+	for i, n := range trips {
+		fmt.Fprintf(&sb, "buf%d:   .space %d\n", i, n*64)
+	}
+	sb.WriteString("        .text\nmain:   li   $r4, 0\n")
+	for i, n := range trips {
+		fmt.Fprintf(&sb, `        la   $r2, buf%d
+        li   $r1, %d
+l%d:     lw   $r3, 0($r2)
+        add  $r4, $r4, $r3
+        addi $r2, $r2, 64
+        addi $r1, $r1, -1
+        bgtz $r1, l%d
+`, i, n, i, i)
+	}
+	sb.WriteString("        out  $r4\n        halt\n")
+	p := mustAssemble(t, "nineloops", sb.String())
+	prof, err := profile.CacheProfile(p, mem.DefaultHierConfig(), 10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Separate(p, Options{Profile: prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.CMAS) != maxCMAS {
+		t.Fatalf("%d CMAS, want %d:\n%s", len(b.CMAS), maxCMAS, b.Report())
+	}
+	kept := map[int]bool{}
+	for _, c := range b.CMAS {
+		kept[c.LoopHeader] = true
+	}
+	for i := range trips {
+		h := p.Labels[fmt.Sprintf("l%d", i)]
+		if kept[h] == (i == dropped) {
+			t.Errorf("loop l%d (%d misses) kept=%v", i, trips[i], kept[h])
+		}
+	}
+
+	progs := make([][]isa.Inst, len(b.CMAS))
+	for i, c := range b.CMAS {
+		progs[i] = c.Insts
+	}
+	h, err := mem.NewHierarchy(mem.DefaultHierConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := cpu.NewCMP(cpu.CMPConfig{}, progs, mem.NewMemory(), h, nil)
+	var ir [isa.NumIntRegs]uint32
+	var fr [isa.NumFPRegs]float64
+	for id := range progs {
+		e.Fork(id, &ir, &fr)
+	}
+	if st := e.Stats(); st.Forks != maxCMAS || st.ForksIgnored != 0 || e.ActiveContexts() != maxCMAS {
+		t.Errorf("after one trigger per CMAS: forks %d, ignored %d, live %d; want %d, 0, %d",
+			st.Forks, st.ForksIgnored, e.ActiveContexts(), maxCMAS, maxCMAS)
 	}
 }
 

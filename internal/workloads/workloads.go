@@ -55,6 +55,28 @@ const (
 	ScalePaper
 )
 
+// ParseScale resolves a scale name, as given on the command line or the
+// wire; the empty string gives def.
+func ParseScale(name string, def Scale) (Scale, error) {
+	switch name {
+	case "":
+		return def, nil
+	case "test":
+		return ScaleTest, nil
+	case "paper":
+		return ScalePaper, nil
+	}
+	return def, fmt.Errorf("unknown scale %q (want \"test\" or \"paper\")", name)
+}
+
+// ScaleName is the name ParseScale accepts for a scale.
+func ScaleName(s Scale) string {
+	if s == ScalePaper {
+		return "paper"
+	}
+	return "test"
+}
+
 // entry names one workload and builds it, with its input, source text
 // and reference output, at a given scale.
 type entry struct {

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"hidisc/internal/fnsim"
@@ -150,6 +152,42 @@ func TestScalesDiffer(t *testing.T) {
 		big := All(ScalePaper)[i]
 		if small.Source == big.Source {
 			t.Errorf("%s: test and paper scales produce identical sources", small.Name)
+		}
+	}
+}
+
+// TestParseScale pins the scale names every binary and the wire accept:
+// a mistyped name is an error, never a silent fall-back to paper scale.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"test", ScaleTest, true},
+		{"paper", ScalePaper, true},
+		{"", ScaleTest, true}, // the default passed in below
+		{"Test", 0, false},
+		{"tset", 0, false},
+	} {
+		got, err := ParseScale(tc.name, ScaleTest)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseScale(%q) error = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, want %v", tc.name, got, tc.want)
+		}
+		if !tc.ok && !strings.Contains(err.Error(), strconv.Quote(tc.name)) {
+			t.Errorf("ParseScale(%q) error %q does not name the value", tc.name, err)
+		}
+	}
+	if got, _ := ParseScale("", ScalePaper); got != ScalePaper {
+		t.Errorf("ParseScale(\"\", ScalePaper) = %v", got)
+	}
+	for _, s := range []Scale{ScaleTest, ScalePaper} {
+		if got, err := ParseScale(ScaleName(s), ScaleTest); err != nil || got != s {
+			t.Errorf("ParseScale(ScaleName(%d)) = %v, %v", s, got, err)
 		}
 	}
 }
