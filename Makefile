@@ -37,11 +37,14 @@ race:
 	$(GO) test -race ./internal/experiments ./internal/machine ./internal/queue ./internal/cpu ./internal/simserver ./internal/fnsim ./internal/resultstore ./internal/cluster
 
 # Short native-fuzz passes: arbitrary assembler source must never
-# panic, and the compiled fnsim fast path must stay bit-identical to
-# the interpreter on arbitrary programs. Deeper runs: drop -fuzztime.
+# panic, the compiled fnsim fast path must stay bit-identical to the
+# interpreter on arbitrary programs, and result-store recovery from
+# byte flips and truncation must yield a valid prefix or refuse, never
+# a wrong record. Deeper runs: drop -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 3s ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzCompiledVsInterpreted -fuzztime 3s ./internal/fnsim
+	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 3s ./internal/resultstore
 
 # One pass over every table/figure benchmark (reports simMIPS).
 bench:

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
@@ -584,14 +583,6 @@ func (f *Fig10) Degradation(arch machine.Arch) float64 {
 		return 0
 	}
 	return (ipcs[0] - ipcs[len(ipcs)-1]) / ipcs[0]
-}
-
-// SortedArches returns architectures ordered by a metric map (largest
-// first); a helper for reports.
-func SortedArches(m map[machine.Arch]float64) []machine.Arch {
-	out := append([]machine.Arch(nil), machine.Arches...)
-	sort.SliceStable(out, func(i, j int) bool { return m[out[i]] > m[out[j]] })
-	return out
 }
 
 // LODTable renders the loss-of-decoupling analysis of Section 5.3: for

@@ -182,16 +182,6 @@ func TestConfigureHookApplies(t *testing.T) {
 	}
 }
 
-func TestSortedArches(t *testing.T) {
-	m := map[machine.Arch]float64{
-		machine.Superscalar: 1, machine.CPAP: 3, machine.CPCMP: 2, machine.HiDISC: 4,
-	}
-	got := SortedArches(m)
-	if got[0] != machine.HiDISC || got[3] != machine.Superscalar {
-		t.Errorf("order: %v", got)
-	}
-}
-
 func TestLatencySweepUsesHierOverride(t *testing.T) {
 	r := NewRunner(workloads.ScaleTest)
 	short, err := r.Run("Field", machine.Superscalar, mem.DefaultHierConfig().WithLatencies(4, 40))

@@ -201,18 +201,6 @@ func (c *Cache) Fill(addr uint32, write, prefetch bool) (evicted uint32, evicted
 	return evicted, evictedValid, writeback
 }
 
-// Invalidate drops the block containing addr if present.
-func (c *Cache) Invalidate(addr uint32) {
-	block := c.BlockAddr(addr)
-	set := c.set(block)
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i] = cacheLine{}
-			return
-		}
-	}
-}
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 

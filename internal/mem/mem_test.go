@@ -228,15 +228,6 @@ func TestCacheWritebackTo(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := mustCache(t, CacheConfig{Name: "t", Sets: 4, Ways: 2, BlockSize: 16, Latency: 1})
-	c.Fill(0x100, false, false)
-	c.Invalidate(0x104)
-	if c.Lookup(0x100) {
-		t.Error("line present after Invalidate")
-	}
-}
-
 // TestCacheLRUAgainstReference models a single set as an LRU list and
 // cross-checks hit/miss behaviour over a random access stream.
 func TestCacheLRUAgainstReference(t *testing.T) {

@@ -207,12 +207,6 @@ func (q *Queue) Close() {
 	}
 }
 
-// Reopen clears the closed flag (a re-triggered CMAS reopens its SCQ).
-func (q *Queue) Reopen() {
-	q.closed = false
-	q.bump()
-}
-
 // Push appends v. It reports false when the queue is full.
 func (q *Queue) Push(v uint64) bool {
 	if q.Full() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 )
 
@@ -19,11 +18,9 @@ import (
 //  2. Records are walked sequentially. Each is valid iff its length
 //     prefix is sane, the full frame+CRC fits in the file, and the CRC
 //     matches.
-//  3. The first invalid record ends the scan. If its claimed extent
-//     reaches (or overruns) EOF it is a torn write: everything from
-//     its offset on is truncated and reported. If bytes exist beyond
-//     its extent, truncating would also discard those later records —
-//     that is mid-log corruption, and recover fails loudly instead.
+//  3. The first invalid record ends the scan, and settleInvalid
+//     decides between a torn tail (truncated) and mid-log corruption
+//     (refused).
 func (s *Store) recover() error {
 	path := filepath.Join(s.dir, logName)
 	fi, err := s.log.Stat()
@@ -79,66 +76,30 @@ func (s *Store) recover() error {
 
 	// Walk the records.
 	off := int64(headerLen)
-	var lenBuf [4]byte
 	for off < size {
-		tear := func(reason string) error { return s.truncateTail(off, size, reason) }
-		if size-off < 4 {
-			return tear("short length prefix")
-		}
-		if _, err := s.log.ReadAt(lenBuf[:], off); err != nil {
+		rec, reason, err := s.readRecord(off, size)
+		if err != nil {
 			return err
 		}
-		frameLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		extent := off + 4 + frameLen + 4
-		if frameLen < minFrame || frameLen > maxFrame {
-			// A garbage length prefix. If nothing follows the prefix
-			// itself it is a torn write of the prefix; otherwise the
-			// bytes after it are unaccounted for either way — with an
-			// unparseable length there is no "next record" to protect,
-			// so any tail this short is treated as torn only when it
-			// is plausibly one partial append (≤ a max record),
-			// corruption otherwise.
-			if size-off <= 4+maxFrame+4 {
-				return tear(fmt.Sprintf("implausible frame length %d", frameLen))
-			}
-			return &CorruptLogError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("implausible frame length %d with %d bytes following", frameLen, size-off)}
+		if rec == nil {
+			return s.settleInvalid(path, off, size, reason)
 		}
-		if extent > size {
-			return tear(fmt.Sprintf("record extends past EOF (needs %d bytes, %d remain)", extent-off, size-off))
-		}
-		frame := make([]byte, frameLen)
-		if _, err := s.log.ReadAt(frame, off+4); err != nil {
-			return err
-		}
-		var crcBuf [4]byte
-		if _, err := s.log.ReadAt(crcBuf[:], off+4+frameLen); err != nil {
-			return err
-		}
-		stored := binary.LittleEndian.Uint32(crcBuf[:])
-		if crc := crc32.Checksum(frame, castagnoli); crc != stored {
-			if extent == size {
-				return tear(fmt.Sprintf("CRC mismatch on final record (stored %08x, computed %08x)", stored, crc))
-			}
-			return &CorruptLogError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("CRC mismatch (stored %08x, computed %08x) with %d bytes following", stored, crc, size-extent)}
-		}
+		frame := rec[4 : len(rec)-4]
 		keyLen := int64(binary.LittleEndian.Uint16(frame[0:2]))
-		if 2+keyLen > frameLen {
+		if 2+keyLen > int64(len(frame)) {
 			return &CorruptLogError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("key length %d exceeds frame %d", keyLen, frameLen)}
+				Reason: fmt.Sprintf("key length %d exceeds frame %d", keyLen, len(frame))}
 		}
 		key := string(frame[2 : 2+keyLen])
 		if _, dup := s.index[key]; !dup { // first write wins
 			s.index[key] = indexEntry{
-				off:    off + 4 + 2 + keyLen,
-				length: int32(frameLen - 2 - keyLen),
-				crc:    stored,
+				length: int32(int64(len(frame)) - 2 - keyLen),
+				crc:    binary.LittleEndian.Uint32(rec[len(rec)-4:]),
 				keyLen: int32(keyLen),
 				frame:  off + 4,
 			}
 		}
-		off = extent
+		off += int64(len(rec))
 	}
 	s.size = off
 	s.report.Records = len(s.index)
@@ -146,9 +107,56 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// truncateTail discards a torn write at off, records it in the report,
-// and finishes recovery at the last valid record.
-func (s *Store) truncateTail(off, size int64, reason string) error {
+// readRecord returns the whole record (length prefix, frame, CRC) at
+// off, or nil and the reason no valid record starts there.
+func (s *Store) readRecord(off, size int64) ([]byte, string, error) {
+	var lenBuf [4]byte
+	if size-off < 4 {
+		return nil, "short length prefix", nil
+	}
+	if _, err := s.log.ReadAt(lenBuf[:], off); err != nil {
+		return nil, "", err
+	}
+	frameLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
+	if frameLen < minFrame || frameLen > maxFrame {
+		return nil, fmt.Sprintf("implausible frame length %d", frameLen), nil
+	}
+	if n := 4 + frameLen + 4; n > size-off {
+		return nil, fmt.Sprintf("record extends past EOF (needs %d bytes, %d remain)", n, size-off), nil
+	}
+	rec := make([]byte, 4+frameLen+4)
+	if _, err := s.log.ReadAt(rec, off); err != nil {
+		return nil, "", err
+	}
+	if !validRecordAt(rec) {
+		return nil, "CRC mismatch", nil
+	}
+	return rec, "", nil
+}
+
+// settleInvalid decides what the invalid record at off is. A crash
+// tears only the final append, so a torn tail is at most one record
+// long and never has a complete record after its start. When more
+// bytes remain than one append could leave, or a valid record follows
+// anywhere in them, truncating would discard acknowledged records:
+// that is mid-log corruption, and Open refuses. Otherwise the tail is
+// torn and truncated away.
+func (s *Store) settleInvalid(path string, off, size int64, reason string) error {
+	corrupt := func(detail string) error {
+		return &CorruptLogError{Path: path, Offset: off, Reason: reason + ", " + detail}
+	}
+	if size-off > 4+maxFrame+4 {
+		return corrupt(fmt.Sprintf("with %d bytes following", size-off))
+	}
+	tail := make([]byte, size-off)
+	if _, err := s.log.ReadAt(tail, off); err != nil {
+		return err
+	}
+	for p := 1; p < len(tail); p++ {
+		if validRecordAt(tail[p:]) {
+			return corrupt(fmt.Sprintf("valid record follows at offset %d", off+int64(p)))
+		}
+	}
 	if err := s.log.Truncate(off); err != nil {
 		return fmt.Errorf("resultstore: truncating torn tail: %w", err)
 	}
@@ -164,13 +172,13 @@ func (s *Store) truncateTail(off, size int64, reason string) error {
 	return nil
 }
 
-// fsyncDir syncs a directory so a just-renamed file inside it is
-// durable.
-func fsyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// validRecordAt reports whether b begins with a whole record whose
+// length prefix is sane and whose CRC matches.
+func validRecordAt(b []byte) bool {
+	if len(b) < 4 {
+		return false
 	}
-	defer d.Close()
-	return d.Sync()
+	n := int64(binary.LittleEndian.Uint32(b))
+	return n >= minFrame && n <= maxFrame && 4+n+4 <= int64(len(b)) &&
+		crc32.Checksum(b[4:4+n], castagnoli) == binary.LittleEndian.Uint32(b[4+n:])
 }

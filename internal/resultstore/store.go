@@ -12,10 +12,9 @@
 //
 // # On-disk format
 //
-// A store directory holds three files:
+// A store directory holds two files:
 //
-//	results.log   the record log (source of truth)
-//	results.idx   sidecar index, rebuilt atomically on every open
+//	results.log   the record log, the only copy of the data
 //	results.lock  flock'd for single-writer exclusion
 //
 // The log begins with a 16-byte versioned header and is followed by
@@ -32,15 +31,17 @@
 //
 // # Recovery
 //
-// Open always scans the whole log, verifying every CRC. A record that
-// cannot be completed because the file ends first — a short length
-// prefix, a frame extending past EOF, or a CRC mismatch on the final
-// record — is a torn write from a crash mid-append: the log is
-// truncated back to the last valid record and the loss is reported in
-// the RecoveryReport. A CRC mismatch with further bytes beyond the
-// record's claimed extent cannot be a torn tail; it is data corruption
-// in the middle of the system of record, and Open refuses to proceed
-// (*CorruptLogError) rather than silently skipping records.
+// Open always scans the whole log, verifying every CRC, and rebuilds
+// its in-memory index from the scan. The first invalid record — a
+// short length prefix, an implausible length, a frame extending past
+// EOF, or a CRC mismatch — is a torn write from a crash mid-append
+// when nothing valid follows it: a crash tears only the final append,
+// so the log is truncated back to the last valid record and the loss
+// is reported in the RecoveryReport. When a valid record follows it,
+// or more bytes follow than one append could leave, it cannot be a
+// torn tail; it is data corruption in the middle of the system of
+// record, and Open refuses to proceed (*CorruptLogError) rather than
+// silently dropping records.
 //
 // # Durability
 //
@@ -48,10 +49,7 @@
 // the log after every append — a record handed back from Put has hit
 // the disk; SyncNever leaves scheduling to the OS (crash loses the
 // page-cache tail, recovery still truncates it cleanly). Close always
-// syncs. The sidecar index is written with the create-temp,
-// fsync, rename sequence so a crash can never leave a half-written
-// index: it either names the old scan or the new one, and open
-// rebuilds it from the log regardless.
+// syncs.
 package resultstore
 
 import (
@@ -114,17 +112,13 @@ type RecoveryReport struct {
 	// TruncatedBytes is how many trailing bytes the torn write cost.
 	TruncatedBytes int64
 	// TornReason says what shape the torn tail had (short prefix,
-	// overrunning frame, final-record CRC mismatch).
+	// implausible length, overrunning frame, CRC mismatch).
 	TornReason string
-	// IndexRebuilt is always true today (the sidecar index is derived
-	// data, rebuilt from the log on every open); kept explicit so a
-	// future trusted-index fast path stays honest in metrics.
-	IndexRebuilt bool
 }
 
-// CorruptLogError reports CRC-verified corruption in the middle of the
-// log — not a torn tail, and therefore not recoverable by truncation
-// without losing records that come after it. Open never repairs this
+// CorruptLogError reports corruption in the middle of the log — not a
+// torn tail, and therefore not recoverable by truncation without
+// losing records that come after it. Open never repairs this
 // silently: the operator decides.
 type CorruptLogError struct {
 	Path   string
@@ -148,7 +142,6 @@ var errCrashpoint = errors.New("resultstore: simulated crash")
 
 const (
 	logName  = "results.log"
-	idxName  = "results.idx"
 	lockName = "results.lock"
 
 	logVersion = 1
@@ -174,13 +167,13 @@ const (
 	// CrashMidPayload dies with the frame half-written.
 	CrashMidPayload = "mid-payload"
 	// CrashBeforeIndex dies after the record is fully durable but
-	// before any index is updated; recovery must still surface it.
+	// before the in-memory index update; recovery must still surface
+	// it.
 	CrashBeforeIndex = "before-index"
 )
 
 // indexEntry locates one record's value region in the log.
 type indexEntry struct {
-	off    int64 // offset of the value within the log
 	length int32 // value length
 	crc    uint32
 	keyLen int32
@@ -198,7 +191,6 @@ type Store struct {
 
 	mu     sync.RWMutex
 	log    *os.File
-	idx    *os.File
 	lock   *os.File
 	index  map[string]indexEntry
 	size   int64 // current valid log length
@@ -212,10 +204,10 @@ type Store struct {
 	crash func(point string) bool
 }
 
-// Open opens (creating if necessary) the store in dir, recovers the
-// log, and atomically rebuilds the sidecar index. The second return
-// value reports what recovery found; it is also retained and available
-// from (*Store).Recovery.
+// Open opens (creating if necessary) the store in dir and recovers the
+// log into the in-memory index. The second return value reports what
+// recovery found; it is also retained and available from
+// (*Store).Recovery.
 func Open(dir string, opts Options) (*Store, RecoveryReport, error) {
 	var rep RecoveryReport
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -243,12 +235,6 @@ func Open(dir string, opts Options) (*Store, RecoveryReport, error) {
 		lock.Close()
 		return nil, rep, err
 	}
-	if err := s.writeIndex(); err != nil {
-		logf.Close()
-		lock.Close()
-		return nil, s.report, fmt.Errorf("resultstore: writing index: %w", err)
-	}
-	s.report.IndexRebuilt = true
 	return s, s.report, nil
 }
 
@@ -268,17 +254,6 @@ func (s *Store) Has(key string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.index[key]
 	return ok
-}
-
-// Keys returns every stored key (unordered).
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	return keys
 }
 
 // Get returns the value stored for key. The record's CRC is
@@ -368,24 +343,12 @@ func (s *Store) Put(key string, value []byte) error {
 	}
 	s.size = off + int64(len(rec))
 	s.index[key] = indexEntry{
-		off:    off + 4 + 2 + int64(len(key)),
 		length: int32(len(value)),
 		crc:    crc,
 		keyLen: int32(len(key)),
 		frame:  off + 4,
 	}
-	s.appendIndexEntry(key)
 	return nil
-}
-
-// Sync forces the log to disk regardless of policy.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.log.Sync()
 }
 
 // Close syncs and closes the store. Closing an already-closed store is
@@ -401,11 +364,6 @@ func (s *Store) Close() error {
 	err := s.log.Sync()
 	if cerr := s.log.Close(); err == nil {
 		err = cerr
-	}
-	if s.idx != nil {
-		if cerr := s.idx.Close(); err == nil {
-			err = cerr
-		}
 	}
 	// Releasing the flock is implicit in closing its fd.
 	if cerr := s.lock.Close(); err == nil {

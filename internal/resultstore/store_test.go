@@ -52,6 +52,18 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
+	// The log is the only copy of the data: no derived files.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if got := fmt.Sprint(names); got != "[results.lock results.log]" {
+		t.Fatalf("store directory holds %s, want [results.lock results.log]", got)
+	}
 	// Duplicate put is a no-op: first write wins.
 	put(t, s, "alpha", "SHOULD NOT REPLACE")
 	wantGet(t, s, "alpha", "first value")
@@ -119,7 +131,6 @@ func TestCrashpointRecovery(t *testing.T) {
 			s.mu.Lock()
 			s.closed = true
 			s.log.Close()
-			s.idx.Close()
 			s.lock.Close()
 			s.mu.Unlock()
 
@@ -260,6 +271,52 @@ func TestFinalRecordCRCTornTail(t *testing.T) {
 	wantGet(t, s2, "first", "aaaa")
 }
 
+// TestLengthPrefixFlip flips bit 16 of one record's length prefix, so
+// the record claims to extend past EOF. On a non-final record the later
+// records are intact and acknowledged: Open must refuse, not truncate
+// them away as a torn tail. On the final record nothing valid follows,
+// and the same flip is a torn tail.
+func TestLengthPrefixFlip(t *testing.T) {
+	const n = 10
+	for _, victim := range []int{3, n - 1} {
+		t.Run(fmt.Sprintf("record-%d", victim), func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, Options{})
+			val := string(bytes.Repeat([]byte{'v'}, 300))
+			for i := 0; i < n; i++ {
+				put(t, s, fmt.Sprintf("k%d", i), val)
+			}
+			s.Close()
+			logPath := filepath.Join(dir, logName)
+			data, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recLen := (len(data) - headerLen) / n
+			data[headerLen+victim*recLen+2] ^= 1 // bit 16 of the u32 prefix
+			if err := os.WriteFile(logPath, data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			s2, rep, err := Open(dir, Options{})
+			if victim < n-1 {
+				var ce *CorruptLogError
+				if !errors.As(err, &ce) {
+					t.Fatalf("Open = %v (report %+v), want CorruptLogError", err, rep)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer s2.Close()
+			if !rep.TornTail || rep.Records != n-1 {
+				t.Fatalf("recovery report %+v, want torn tail with %d records", rep, n-1)
+			}
+			wantGet(t, s2, "k0", val)
+		})
+	}
+}
+
 // TestGetVerifiesCRC corrupts a record byte after open: the read path
 // re-verifies the CRC, so the damage surfaces as an error rather than
 // a silently wrong measurement.
@@ -306,40 +363,6 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if _, _, err := Open(dir2, Options{}); err == nil {
 		t.Fatal("Open accepted a future log version")
 	}
-}
-
-// TestSidecarIndexMatchesLog checks the atomically rebuilt sidecar
-// describes exactly the recovered records, in log order, and that the
-// running appends keep it current.
-func TestSidecarIndexMatchesLog(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{})
-	for i := 0; i < 10; i++ {
-		put(t, s, fmt.Sprintf("key-%02d", i), fmt.Sprintf("value-%d", i))
-	}
-	checkIndex := func(when string) {
-		t.Helper()
-		ents, err := ReadIndex(dir)
-		if err != nil {
-			t.Fatalf("%s: ReadIndex: %v", when, err)
-		}
-		if len(ents) != 10 {
-			t.Fatalf("%s: sidecar has %d entries, want 10", when, len(ents))
-		}
-		for i, e := range ents {
-			if want := fmt.Sprintf("key-%02d", i); e.Key != want {
-				t.Fatalf("%s: entry %d key %q, want %q (log order)", when, i, e.Key, want)
-			}
-			got, ok, err := s.Get(e.Key)
-			if err != nil || !ok || int32(len(got)) != e.ValueLen {
-				t.Fatalf("%s: entry %d disagrees with log: %v %v %v", when, i, got, ok, err)
-			}
-		}
-	}
-	checkIndex("live appends")
-	s.Close()
-	s, _ = mustOpen(t, dir, Options{})
-	checkIndex("after rebuild")
 }
 
 // TestSyncNeverStillRecovers exercises the relaxed policy: records are

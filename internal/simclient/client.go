@@ -59,7 +59,7 @@ func New(base string) *Client {
 // and static headers. It exists so the coordinator's per-worker
 // clients and hidisc-bench's -remote client are built from one config
 // value instead of drifting duplicated literals; construct clients
-// from it with NewWithOptions or Targets.
+// from it with NewWithOptions.
 type Options struct {
 	// HTTPClient is the transport; nil means http.DefaultClient
 	// (deliberately no overall timeout — simulations can run for
@@ -87,17 +87,6 @@ func NewWithOptions(base string, o Options) *Client {
 		Retry:      o.Retry,
 		Header:     o.Header,
 	}
-}
-
-// Targets builds one client per target URL from a single shared
-// Options value — the fan-out constructor a coordinator uses for its
-// worker fleet.
-func Targets(bases []string, o Options) []*Client {
-	cs := make([]*Client, len(bases))
-	for i, b := range bases {
-		cs[i] = NewWithOptions(b, o)
-	}
-	return cs
 }
 
 // withRetry runs op under the client's retry policy, if any.
