@@ -38,13 +38,15 @@ race:
 
 # Short native-fuzz passes: arbitrary assembler source must never
 # panic, the compiled fnsim fast path must stay bit-identical to the
-# interpreter on arbitrary programs, and result-store recovery from
-# byte flips and truncation must yield a valid prefix or refuse, never
-# a wrong record. Deeper runs: drop -fuzztime.
+# interpreter on arbitrary programs, result-store recovery from byte
+# flips and truncation must yield a valid prefix or refuse, never a
+# wrong record, and the job-response parser must accept only bodies
+# that re-encode byte-identically. Deeper runs: drop -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 3s ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzCompiledVsInterpreted -fuzztime 3s ./internal/fnsim
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 3s ./internal/resultstore
+	$(GO) test -run xxx -fuzz FuzzJobEnvelope -fuzztime 3s ./internal/simserver
 
 # One pass over every table/figure benchmark (reports simMIPS).
 bench:

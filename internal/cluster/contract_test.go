@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -269,7 +270,10 @@ func scrapeProm(t *testing.T, url string) string {
 // names, HELP and TYPE lines, order and every deterministic sample —
 // after a fixed job sequence through a coordinator and its one
 // store-backed worker: a simulation, its cache hit, a job that fails,
-// and a batch of one hit and one new simulation. Regenerate with
+// and a batch of one hit and one new simulation. Each row renders the
+// snapshot the JSON view encodes, so the pinned counters are the JSON
+// view's too. The golden masks the host-dependent runtime gauges; they
+// must still read as a live process. Regenerate with
 // HIDISC_UPDATE_GOLDEN=1 go test -run TestPrometheusGolden ./internal/cluster.
 func TestPrometheusGolden(t *testing.T) {
 	st, _, err := resultstore.Open(t.TempDir(), resultstore.Options{})
@@ -299,7 +303,15 @@ func TestPrometheusGolden(t *testing.T) {
 		{"prom_worker.golden", f.workerURL},
 		{"prom_coordinator.golden", f.coordURL},
 	} {
-		got := normaliseProm(scrapeProm(t, g.url), f.workerURL)
+		text := scrapeProm(t, g.url)
+		for _, name := range []string{"hidisc_go_goroutines", "hidisc_go_heap_inuse_bytes", "hidisc_go_gomaxprocs"} {
+			_, rest, _ := strings.Cut(text, "\n"+name+" ")
+			value, _, _ := strings.Cut(rest, "\n")
+			if v, err := strconv.ParseFloat(value, 64); err != nil || v <= 0 {
+				t.Errorf("%s: %s = %q, want > 0", g.file, name, value)
+			}
+		}
+		got := normaliseProm(text, f.workerURL)
 		path := filepath.Join("testdata", g.file)
 		if os.Getenv("HIDISC_UPDATE_GOLDEN") != "" {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {

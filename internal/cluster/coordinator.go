@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -196,10 +197,12 @@ func (co *Coordinator) Routes(mux *http.ServeMux) {
 // forward, and handle failure per the shared retryable-status table:
 //
 //   - success → done (count a reroute if it landed off its ring home);
-//   - transport error → the worker died under the job: mark it dead,
-//     requeue onto the ring minus the dead node (content addressing
-//     makes the replay free — if the job actually completed before the
-//     crash, the home-to-be worker's store/cache answers it);
+//   - transport error, an undecodable body, or an answer under another
+//     job's key → the worker died under the job or cannot be trusted
+//     with it: mark it dead, requeue onto the ring minus the dead node
+//     (content addressing makes the replay free — if the job actually
+//     completed before the crash, the home-to-be worker's store/cache
+//     answers it);
 //   - 429 → the home worker shed it; wait out Retry-After and try the
 //     same worker again (its cache shard makes it the cheapest home);
 //   - 502/503 → the worker is draining or behind a blip: exclude it
@@ -267,6 +270,12 @@ func (co *Coordinator) RunJob(reqCtx context.Context, jr simserver.JobRequest, d
 		t0 := time.Now()
 		resp, err := c.Run(actx, jr)
 		co.fleet.End(url)
+		if err == nil && resp.Key != key {
+			// The answer is forwarded unscanned, so its key is the one
+			// check that it belongs to this job. An answer for another
+			// job is as unusable as a body that fails to decode.
+			err = fmt.Errorf("worker answered key %q for job %s", resp.Key, key)
+		}
 		if err == nil {
 			asp.End()
 			co.ObserveJobTime(time.Since(t0))

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,6 +255,84 @@ func TestClusterRequeueOnWorkerDeath(t *testing.T) {
 	}
 }
 
+// TestClusterRefusesBadWorkerAnswers puts a stub worker that answers
+// 200 with an unusable body beside a healthy worker. The coordinator
+// forwards answers unscanned, so none of these bodies may ever reach
+// the client as a success: each job either gets the healthy worker's
+// byte-identical answer after a requeue, or an error.
+func TestClusterRefusesBadWorkerAnswers(t *testing.T) {
+	want := localFig8(t)
+	jobs := experiments.Fig8Jobs(experiments.NewRunner(workloads.ScaleTest).Hier, workloads.ScaleTest)
+	// The stub builds every bad answer from the routed job's own
+	// correct envelope, so only the defect under test can give it away.
+	envelopes := map[string]string{}
+	for i, j := range jobs {
+		envelopes[j.Key()] = `{"key":"` + j.Key() + `","measurement":` + string(want[i]) + "}\n"
+	}
+	w, healthy := startWorker(t)
+	workers, queue := w.Capacity()
+	for _, tc := range []struct {
+		name   string
+		answer func(w http.ResponseWriter, envelope string)
+	}{
+		{"body cut in the measurement", func(w http.ResponseWriter, envelope string) {
+			io.WriteString(w, envelope[:len(envelope)/2])
+		}},
+		{"connection lost in the measurement", func(w http.ResponseWriter, envelope string) {
+			w.Header().Set("Content-Length", fmt.Sprint(len(envelope)))
+			io.WriteString(w, envelope[:len(envelope)/2])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}},
+		{"envelope for another key", func(w http.ResponseWriter, envelope string) {
+			io.WriteString(w, `{"key":"`+strings.Repeat("ab", 32)+envelope[len(`{"key":"`)+64:])
+		}},
+		{"empty object", func(w http.ResponseWriter, envelope string) {
+			io.WriteString(w, "{}")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var asked atomic.Int64
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				asked.Add(1)
+				var jr simserver.JobRequest
+				if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
+					t.Error(err)
+					return
+				}
+				job, err := jr.CanonicalJob(workloads.ScaleTest)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tc.answer(w, envelopes[job.Key()])
+			}))
+			t.Cleanup(stub.Close)
+			_, co := startCluster(t, cluster.Config{})
+			register(t, co.URL, healthy.URL, workers, queue)
+			register(t, co.URL, stub.URL, workers, queue)
+
+			c := simclient.New(co.URL)
+			for i, j := range jobs {
+				resp, err := c.Run(context.Background(), simserver.JobRequest{Workload: j.Workload, Arch: j.Arch})
+				if err != nil {
+					continue
+				}
+				if resp.Key != j.Key() || !bytes.Equal(resp.Measurement, want[i]) {
+					t.Fatalf("job %d (%s/%s): a bad worker answer reached the client as a success: key %s, %.60s",
+						i, j.Workload, j.Arch, resp.Key, resp.Measurement)
+				}
+			}
+			if asked.Load() == 0 {
+				t.Fatal("no job was routed to the stub worker")
+			}
+			if cm := fleetMetrics(t, co.URL).Coordinator; cm.Requeued == 0 || cm.WorkerDeaths != 1 {
+				t.Errorf("requeued = %d, workerDeaths = %d; want the stub's job requeued and the stub dead", cm.Requeued, cm.WorkerDeaths)
+			}
+		})
+	}
+}
+
 // TestClusterNoWorkers pins the empty-fleet answer: 503 with a
 // distinct kind (a retryable status — capacity may register any
 // moment), plus a coordinator-minted request ID on the response.
@@ -313,7 +392,8 @@ func TestClusterFleetAdmission(t *testing.T) {
 
 // holdingWorker is a stub worker that sheds its first shed requests
 // with 429 and Retry-After: 1, then accepts every job and answers none
-// until released. arrived receives once per request.
+// until released, then answers each under its own key. arrived
+// receives once per request.
 func holdingWorker(t *testing.T, shed int) (url string, arrived <-chan struct{}, release func()) {
 	t.Helper()
 	hold := make(chan struct{})
@@ -333,7 +413,17 @@ func holdingWorker(t *testing.T, shed int) (url string, arrived <-chan struct{},
 			return
 		}
 		<-hold
-		simserver.WriteJSON(w, http.StatusOK, simserver.JobResponse{Key: "k", Measurement: json.RawMessage(`{}`)})
+		var jr simserver.JobRequest
+		if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		job, err := jr.CanonicalJob(workloads.ScaleTest)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		simserver.WriteJSON(w, http.StatusOK, simserver.JobResponse{Key: job.Key(), Measurement: json.RawMessage(`{}`)})
 	}))
 	var once sync.Once
 	release = func() { once.Do(func() { close(hold) }) }

@@ -180,7 +180,7 @@ func decodeError(resp *http.Response) error {
 		apiErr.RetryAfter = time.Duration(secs) * time.Second
 	}
 	var body simserver.ErrorBody
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 10<<20)).Decode(&body); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&body); err != nil {
 		apiErr.Wire = simserver.WireError{
 			Status: resp.StatusCode, Kind: "http",
 			Message: fmt.Sprintf("HTTP %d with undecodable body: %v", resp.StatusCode, err),
@@ -191,10 +191,34 @@ func decodeError(resp *http.Response) error {
 	return apiErr
 }
 
+// maxBody bounds the response bodies the client reads whole.
+const maxBody = 10 << 20
+
+// readBody reads a response body in one allocation when its length is
+// declared, refusing bodies over maxBody.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		if n > maxBody {
+			return nil, fmt.Errorf("body of %d bytes exceeds %d", n, maxBody)
+		}
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
+	if err == nil && len(body) > maxBody {
+		err = fmt.Errorf("body exceeds %d bytes", maxBody)
+	}
+	return body, err
+}
+
 // Run submits one job and returns the server's response with the
-// measurement still in its canonical raw encoding. With Retry set, the
-// whole submission — connection, response, body — is retried per the
-// policy, so a server restart mid-request costs a delay, not the job.
+// measurement still in its canonical raw encoding: the body is read
+// once and parsed by the envelope's fixed shape
+// (simserver.ParseJobResponse), so Measurement aliases it unscanned.
+// With Retry set, the whole submission — connection, response, body —
+// is retried per the policy, so a server restart mid-request costs a
+// delay, not the job.
 func (c *Client) Run(ctx context.Context, jr simserver.JobRequest) (simserver.JobResponse, error) {
 	var out simserver.JobResponse
 	err := c.withRetry(ctx, func() error {
@@ -203,8 +227,11 @@ func (c *Client) Run(ctx context.Context, jr simserver.JobRequest) (simserver.Jo
 			return err
 		}
 		defer resp.Body.Close()
-		out = simserver.JobResponse{}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		body, err := readBody(resp)
+		if err == nil {
+			out, err = simserver.ParseJobResponse(body)
+		}
+		if err != nil {
 			return fmt.Errorf("decoding job response: %w", err)
 		}
 		return nil

@@ -25,10 +25,12 @@
 package simserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"hidisc/internal/experiments"
@@ -123,6 +125,86 @@ type JobResponse struct {
 	// Measurement is the experiments.Measurement encoded verbatim; kept
 	// raw so clients can check byte-identity against a local run.
 	Measurement json.RawMessage `json:"measurement"`
+}
+
+// A successful answer is one envelope:
+//
+//	{"key":"<key>"[,"cached":true][,"stored":true][,"deduped":true],"measurement":<m>}
+//
+// plus a newline; a /v1/batch success line is the same with
+// "index":<i> first. The key is a job key (hex), which JSON writes
+// unescaped. <m> is json.Marshal output of the measurement, written
+// once at simulate time and held as those bytes by the LRU and the
+// store. json.Marshal output is compact and HTML-escaped already, so
+// json.Encoder's re-compaction of a RawMessage is the identity on it:
+// the codec copies <m> verbatim and no hop scans it again.
+
+// appendJobResponse appends the envelope of a successful r to dst:
+// byte for byte what json.NewEncoder(w).Encode(r) writes.
+func appendJobResponse(dst []byte, r JobResponse) []byte {
+	return appendEnvelope(append(dst, '{'), r)
+}
+
+// appendBatchItem appends the NDJSON line of a successful batch job at
+// index: byte for byte what json.Encoder writes for the BatchItem
+// carrying r.
+func appendBatchItem(dst []byte, index int, r JobResponse) []byte {
+	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
+	return appendEnvelope(append(dst, ','), r)
+}
+
+func appendEnvelope(dst []byte, r JobResponse) []byte {
+	dst = append(append(append(dst, `"key":"`...), r.Key...), '"')
+	if r.Cached {
+		dst = append(dst, `,"cached":true`...)
+	}
+	if r.Stored {
+		dst = append(dst, `,"stored":true`...)
+	}
+	if r.Deduped {
+		dst = append(dst, `,"deduped":true`...)
+	}
+	dst = append(append(dst, `,"measurement":`...), r.Measurement...)
+	return append(dst, "}\n"...)
+}
+
+var errNotEnvelope = errors.New("body is not a job-response envelope")
+
+// ParseJobResponse reads a /v1/jobs success body by the envelope's
+// fixed shape. The measurement aliases body and is not scanned: it is
+// whatever lies between the envelope's prefix and its closing "}\n".
+// Anything but the exact shape appendJobResponse writes — a truncated
+// body, another field order, a key JSON would escape, a measurement
+// that is not delimited as an object — is an error, so a parsed
+// response re-encodes to exactly body.
+func ParseJobResponse(body []byte) (JobResponse, error) {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"key":"`))
+	if !ok {
+		return JobResponse{}, errNotEnvelope
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 {
+		return JobResponse{}, errNotEnvelope
+	}
+	for _, c := range rest[:end] {
+		if c < 0x20 || c > 0x7e || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return JobResponse{}, errNotEnvelope
+		}
+	}
+	r := JobResponse{Key: string(rest[:end])}
+	rest = rest[end+1:]
+	rest, r.Cached = bytes.CutPrefix(rest, []byte(`,"cached":true`))
+	rest, r.Stored = bytes.CutPrefix(rest, []byte(`,"stored":true`))
+	rest, r.Deduped = bytes.CutPrefix(rest, []byte(`,"deduped":true`))
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"measurement":`)); !ok {
+		return JobResponse{}, errNotEnvelope
+	}
+	m, ok := bytes.CutSuffix(rest, []byte("}\n"))
+	if !ok || len(m) < 2 || m[0] != '{' || m[len(m)-1] != '}' {
+		return JobResponse{}, errNotEnvelope
+	}
+	r.Measurement = m
+	return r, nil
 }
 
 // HierJSON encodes a hierarchy for JobRequest.Hier.

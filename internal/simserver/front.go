@@ -210,7 +210,11 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 		f.writeError(w, r, f.b.WireError(err))
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	body := appendJobResponse(make([]byte, 0, len(resp.Measurement)+128), resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -237,16 +241,15 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	items := make(chan BatchItem)
+	lines := make(chan []byte)
 	for i := range jobs {
 		go func(i int) {
 			defer f.release()
-			items <- f.batchJob(r.Context(), i, jobs[i], scale)
+			lines <- f.batchJob(r.Context(), i, jobs[i], scale)
 		}(i)
 	}
-	enc := json.NewEncoder(w)
 	for range jobs {
-		if err := enc.Encode(<-items); err != nil {
+		if _, err := w.Write(<-lines); err != nil {
 			// Client went away; keep consuming so the jobs finish and
 			// release their admission.
 			continue
@@ -257,11 +260,12 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchJob runs job i of a batch. Each job gets its own span on its own
-// track, so concurrent jobs render as parallel Perfetto rows instead of
-// interleaving on the request row; scale (the batch-level resolution)
-// is the default for jobs without their own.
-func (f *Front) batchJob(ctx context.Context, i int, jr JobRequest, scale workloads.Scale) BatchItem {
+// batchJob runs job i of a batch and returns its NDJSON line. Each job
+// gets its own span on its own track, so concurrent jobs render as
+// parallel Perfetto rows instead of interleaving on the request row;
+// scale (the batch-level resolution) is the default for jobs without
+// their own.
+func (f *Front) batchJob(ctx context.Context, i int, jr JobRequest, scale workloads.Scale) []byte {
 	id := RequestIDFrom(ctx)
 	jsp := tracing.SpanFrom(ctx).Child(f.jobSpan)
 	if jsp != nil {
@@ -274,16 +278,21 @@ func (f *Front) batchJob(ctx context.Context, i int, jr JobRequest, scale worklo
 	if err != nil {
 		we := badRequestWire(err)
 		we.RequestID = id
-		return BatchItem{Index: i, Error: &we}
+		return errorLine(BatchItem{Index: i, Error: &we})
 	}
 	resp, err := f.b.RunJob(ctx, jr, jscale)
-	it := BatchItem{Index: i, Key: resp.Key, Cached: resp.Cached, Stored: resp.Stored, Deduped: resp.Deduped, Measurement: resp.Measurement}
 	if err != nil {
 		we := f.b.WireError(err)
 		we.RequestID = id
-		it.Error, it.Measurement = &we, nil
+		return errorLine(BatchItem{Index: i, Key: resp.Key, Error: &we})
 	}
-	return it
+	return appendBatchItem(make([]byte, 0, len(resp.Measurement)+128), i, resp)
+}
+
+// errorLine encodes a failed batch item as an NDJSON line.
+func errorLine(it BatchItem) []byte {
+	line, _ := json.Marshal(it) // plain data; cannot fail
+	return append(line, '\n')
 }
 
 // decode refuses submissions while draining, then decodes the body.

@@ -85,10 +85,11 @@ func promValues(t *testing.T, text string) map[string]float64 {
 	return vals
 }
 
-// TestMetricsContentNegotiation runs a real job and checks the two
-// /metrics views against each other: the Prometheus counters must
-// equal the JSON snapshot's, and the job-latency histogram must be
-// present, internally consistent, and reflect the executed job.
+// TestMetricsContentNegotiation runs a real job and checks the
+// Prometheus view's job-latency histograms: present, internally
+// consistent, and reflecting the executed job. The counters agree with
+// the JSON view by construction (both render one snapshot); the
+// Prometheus goldens in internal/cluster pin their values.
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, url := rawTestServer(t, testConfig())
 
@@ -97,13 +98,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Fatalf("job submission: HTTP %d", resp.StatusCode)
 	}
 
-	jresp, jbody := get(t, url+"/metrics", "")
+	jresp, _ := get(t, url+"/metrics", "")
 	if ct := jresp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("default /metrics Content-Type = %q, want JSON", ct)
-	}
-	var snap simserver.MetricsSnapshot
-	if err := json.Unmarshal([]byte(jbody), &snap); err != nil {
-		t.Fatalf("JSON metrics: %v", err)
 	}
 
 	presp, pbody := get(t, url+"/metrics", "text/plain")
@@ -114,40 +111,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 
 	for _, body := range []string{pbody, qbody} {
 		vals := promValues(t, body)
-		// Counter parity between the two views. The snapshot is taken
-		// after the prom fetch, but all counters are settled: the one
-		// job completed before the first /metrics request.
-		counters := map[string]int64{
-			"hidisc_jobs_accepted_total":   snap.Accepted,
-			"hidisc_jobs_rejected_total":   snap.Rejected,
-			"hidisc_jobs_deduped_total":    snap.Deduped,
-			"hidisc_jobs_cache_hits_total": snap.CacheHits,
-			"hidisc_jobs_completed_total":  snap.Completed,
-			"hidisc_jobs_failed_total":     snap.Failed,
-			"hidisc_sim_cycles_total":      snap.SimCycles,
-			"hidisc_sim_insts_total":       snap.SimInsts,
-			"hidisc_jobs_in_flight":        snap.InFlight,
-
-			"hidisc_store_hits_total":              snap.Store.Hits,
-			"hidisc_store_misses_total":            snap.Store.Misses,
-			"hidisc_store_appends_total":           snap.Store.Puts,
-			"hidisc_store_errors_total":            snap.Store.Errors,
-			"hidisc_store_recovered_records_total": int64(snap.Store.RecoveredRecords),
-			"hidisc_store_records":                 int64(snap.Store.Records),
-		}
-		for name, want := range counters {
-			got, ok := vals[name]
-			if !ok {
-				t.Errorf("prom view missing %s", name)
-				continue
-			}
-			if int64(got) != want {
-				t.Errorf("%s = %v, want %d (JSON view)", name, got, want)
-			}
-		}
-		if snap.Completed != 1 || snap.SimCycles == 0 {
-			t.Errorf("snapshot Completed=%d SimCycles=%d after one job", snap.Completed, snap.SimCycles)
-		}
 		// Histogram presence and internal consistency.
 		for _, h := range []string{"hidisc_job_seconds", "hidisc_job_queue_wait_seconds"} {
 			if !strings.Contains(body, "# TYPE "+h+" histogram") {

@@ -234,49 +234,6 @@ func TestMachineTraceBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsParity is the view-parity companion to
-// TestMetricsContentNegotiation for the runtime introspection
-// satellite: the JSON snapshot and the Prometheus exposition must both
-// carry the runtime stats, agreeing on the stable value (GOMAXPROCS)
-// and both reporting live values for the racy ones.
-func TestRuntimeMetricsParity(t *testing.T) {
-	_, url := rawTestServer(t, testConfig())
-
-	_, jbody := get(t, url+"/metrics", "")
-	var snap simserver.MetricsSnapshot
-	if err := json.Unmarshal([]byte(jbody), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Runtime.Goroutines <= 0 {
-		t.Errorf("JSON goroutines = %d, want > 0", snap.Runtime.Goroutines)
-	}
-	if snap.Runtime.HeapInuseBytes == 0 {
-		t.Error("JSON heapInuseBytes = 0")
-	}
-	if snap.Runtime.GOMAXPROCS <= 0 {
-		t.Errorf("JSON gomaxprocs = %d, want > 0", snap.Runtime.GOMAXPROCS)
-	}
-
-	_, pbody := get(t, url+"/metrics", "text/plain")
-	vals := promValues(t, pbody)
-	// GOMAXPROCS is stable across the two fetches: exact parity.
-	if got := vals["hidisc_go_gomaxprocs"]; int(got) != snap.Runtime.GOMAXPROCS {
-		t.Errorf("hidisc_go_gomaxprocs = %v, want %d (JSON view)", got, snap.Runtime.GOMAXPROCS)
-	}
-	// Goroutine count and heap churn between fetches: presence and
-	// positivity is the strongest honest assertion.
-	for _, name := range []string{"hidisc_go_goroutines", "hidisc_go_heap_inuse_bytes"} {
-		if v, ok := vals[name]; !ok || v <= 0 {
-			t.Errorf("%s = %v, want present and > 0", name, v)
-		}
-	}
-	for _, name := range []string{"hidisc_go_gc_pause_ns_total", "hidisc_go_gc_cycles_total"} {
-		if _, ok := vals[name]; !ok {
-			t.Errorf("prom view missing %s", name)
-		}
-	}
-}
-
 // TestTracingOffNoSpans pins the off state: a server without a tracer
 // serves an empty /v1/traces body and still answers jobs normally.
 func TestTracingOffNoSpans(t *testing.T) {
