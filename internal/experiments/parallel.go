@@ -37,6 +37,11 @@ type Job struct {
 	Configure func(*machine.Config)
 }
 
+// keyVersion prefixes every key's preimage. A change that moves any
+// measurement byte must bump it, so result stores written by the old
+// model stop answering; TestKeyVersionGuard fails until it does.
+const keyVersion = "hidisc-job-v1"
+
 // Key returns a canonical content hash of the job's simulation inputs:
 // workload, architecture, the full hierarchy geometry and latencies,
 // and workload scale. Simulations are deterministic, so two jobs with
@@ -50,8 +55,8 @@ type Job struct {
 // Runner already bypasses its memo for them).
 func (j Job) Key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "hidisc-job-v1|%s|%s|%d|%d,%d,%d,%d|%d,%d,%d,%d|%d",
-		j.Workload, j.Arch, j.Scale,
+	fmt.Fprintf(h, "%s|%s|%s|%d|%d,%d,%d,%d|%d,%d,%d,%d|%d",
+		keyVersion, j.Workload, j.Arch, j.Scale,
 		j.Hier.L1D.Sets, j.Hier.L1D.Ways, j.Hier.L1D.BlockSize, j.Hier.L1D.Latency,
 		j.Hier.L2.Sets, j.Hier.L2.Ways, j.Hier.L2.BlockSize, j.Hier.L2.Latency,
 		j.Hier.MemLatency)
