@@ -40,13 +40,16 @@ race:
 # panic, the compiled fnsim fast path must stay bit-identical to the
 # interpreter on arbitrary programs, result-store recovery from byte
 # flips and truncation must yield a valid prefix or refuse, never a
-# wrong record, and the job-response parser must accept only bodies
-# that re-encode byte-identically. Deeper runs: drop -fuzztime.
+# wrong record, the job-response parser must accept only bodies
+# that re-encode byte-identically, and the traceparent parser must
+# accept only well-formed headers that rebuild from their parts.
+# Deeper runs: drop -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 3s ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzCompiledVsInterpreted -fuzztime 3s ./internal/fnsim
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 3s ./internal/resultstore
 	$(GO) test -run xxx -fuzz FuzzJobEnvelope -fuzztime 3s ./internal/simserver
+	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 3s ./internal/tracing
 
 # One pass over every table/figure benchmark (reports simMIPS).
 bench:

@@ -345,15 +345,20 @@ func TestReadBinaryRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestProgramCloneIsDeep requires Clone to copy everything a caller may
+// edit (instructions, labels, symbols) and to share the read-only data
+// image.
 func TestProgramCloneIsDeep(t *testing.T) {
 	p := makeTestProgram()
 	q := p.Clone()
 	q.Insts[0].Imm = 99
-	q.Data[0] = 99
 	q.Labels["loop"] = 3
 	q.Symbols["tab"] = 0
-	if p.Insts[0].Imm == 99 || p.Data[0] == 99 || p.Labels["loop"] == 3 || p.Symbols["tab"] == 0 {
-		t.Error("Clone shares state with original")
+	if p.Insts[0].Imm == 99 || p.Labels["loop"] == 3 || p.Symbols["tab"] == 0 {
+		t.Error("Clone shares instructions, labels or symbols with the original")
+	}
+	if len(q.Data) != len(p.Data) || &q.Data[0] != &p.Data[0] {
+		t.Error("Clone copied the data image; it must share it")
 	}
 }
 

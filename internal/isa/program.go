@@ -19,11 +19,15 @@ const (
 // Program is an assembled (or compiler-separated) instruction stream
 // plus its static data image. PCs are instruction indices; the entry
 // point is index Entry.
+//
+// Data is read-only once the program is built (by the assembler or
+// ReadBinary): Clone and the stream separator share it rather than copy
+// it, and every simulation copies it into its own memory.
 type Program struct {
 	Name    string
 	Insts   []Inst
 	Entry   int
-	Data    []byte            // initial contents of [DataBase, DataBase+len)
+	Data    []byte            // initial contents of [DataBase, DataBase+len); read-only, shared
 	Symbols map[string]uint32 // data labels -> addresses (debugging)
 	Labels  map[string]int    // code labels -> instruction indices (debugging)
 }
@@ -74,13 +78,14 @@ func (p *Program) Listing() string {
 	return buf.String()
 }
 
-// Clone returns a deep copy of the program.
+// Clone returns a copy of the program whose instructions, labels and
+// symbols are its own; the read-only data image is shared.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Name:  p.Name,
 		Entry: p.Entry,
 		Insts: append([]Inst(nil), p.Insts...),
-		Data:  append([]byte(nil), p.Data...),
+		Data:  p.Data,
 	}
 	if p.Symbols != nil {
 		q.Symbols = make(map[string]uint32, len(p.Symbols))

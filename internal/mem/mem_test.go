@@ -77,6 +77,48 @@ func TestMemoryLoadSegmentAndRange(t *testing.T) {
 	}
 }
 
+// TestLoadSegmentMatchesByteLoop requires the page-wise LoadSegment to
+// leave memory exactly as writing the segment one byte at a time does:
+// the same pages allocated (all-zero ones included), the same bytes,
+// the same checksum, for unaligned bases, lengths that span pages, and
+// a segment that wraps past the top of the address space.
+func TestLoadSegmentMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bases := []uint32{0x1000_0000, 0x1000_0001, 0x1000_0ffd, 0x1000_0fff, 0x2000_0800, 0xffff_fff0}
+	lens := []int{0, 1, 3, pageSize - 1, pageSize, pageSize + 1, 2*pageSize + 5, 3*pageSize + 17}
+	for _, base := range bases {
+		for _, n := range lens {
+			data := make([]byte, n)
+			for i := range data {
+				// Runs of zeros, so some loaded pages may stay all-zero.
+				if rng.Intn(4) != 0 && i/pageSize != 1 {
+					data[i] = byte(rng.Intn(256))
+				}
+			}
+			want, got := NewMemory(), NewMemory()
+			for _, m := range []*Memory{want, got} {
+				m.Write32(base-8, 0xdeadbeef) // neighbours outside the segment survive
+				m.Write32(base+uint32(n)+4, 0xfeedface)
+			}
+			for i, b := range data {
+				want.Write8(base+uint32(i), b)
+			}
+			got.LoadSegment(base, data)
+			if len(got.pages) != len(want.pages) {
+				t.Fatalf("base %#x len %d: %d pages allocated, byte loop allocates %d", base, n, len(got.pages), len(want.pages))
+			}
+			for pn, wp := range want.pages {
+				if gp := got.pages[pn]; gp == nil || *gp != *wp {
+					t.Fatalf("base %#x len %d: page %#x differs from the byte loop", base, n, pn)
+				}
+			}
+			if got.Checksum() != want.Checksum() {
+				t.Fatalf("base %#x len %d: checksum differs from the byte loop", base, n)
+			}
+		}
+	}
+}
+
 func TestChecksumEquivalence(t *testing.T) {
 	a, b := NewMemory(), NewMemory()
 	// Same logical contents, written in different orders.

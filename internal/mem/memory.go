@@ -122,10 +122,14 @@ func (m *Memory) WriteFloat64(addr uint32, v float64) {
 	m.Write64(addr, math.Float64bits(v))
 }
 
-// LoadSegment copies data into memory starting at base.
+// LoadSegment copies data into memory starting at base, a page-sized
+// chunk at a time. It touches exactly the pages a byte-by-byte copy
+// would, zero bytes included.
 func (m *Memory) LoadSegment(base uint32, data []byte) {
-	for i, b := range data {
-		m.Write8(base+uint32(i), b)
+	for addr := base; len(data) > 0; {
+		n := copy(m.page(addr, true)[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 }
 

@@ -528,7 +528,7 @@ func (s *separator) buildStreams() (*Bundle, error) {
 		Name:    p.Name + ".as",
 		Insts:   asInsts,
 		Entry:   b.ASPos[p.Entry],
-		Data:    append([]byte(nil), p.Data...),
+		Data:    p.Data, // read-only, shared with Seq and the source
 		Labels:  remapLabels(b.ASPos),
 		Symbols: p.Symbols,
 	}

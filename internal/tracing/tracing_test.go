@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,11 +46,67 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"00-0123456789ABCDEF0123456789abcdef-0123456789abcdef-01", // uppercase
 		"00-0123456789abcdef0123456789abcdef+0123456789abcdef-01", // bad separator
 		"00-0123456789abcdef0123456789abcdef-0123456789abcdeg-01", // non-hex
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-zz", // non-hex flags
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0Z", // non-hex flags
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0A", // uppercase flags
+		"00-00000000000000000000000000000000-0123456789abcdef-01", // all-zero trace ID
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // all-zero parent ID
 	} {
 		if _, _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", h)
 		}
 	}
+	// Only bit 0 of the flags byte means sampled.
+	for flags, want := range map[string]bool{"00": false, "01": true, "02": false, "03": true, "0a": false, "0b": true, "ff": true, "fe": false} {
+		h := "00-0123456789abcdef0123456789abcdef-0123456789abcdef-" + flags
+		if _, _, sampled, ok := ParseTraceparent(h); !ok || sampled != want {
+			t.Errorf("ParseTraceparent(%q) = sampled %v, ok %v; want sampled %v, ok true", h, sampled, ok, want)
+		}
+	}
+}
+
+// FuzzTraceparent feeds arbitrary headers to the parser: it must never
+// panic, and an accepted header must have lowercase-hex, non-zero IDs
+// and hex flags, rebuild byte for byte from its parts, and be sampled
+// exactly when bit 0 of its flags is set.
+func FuzzTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-02",
+		"00-00000000000000000000000000000000-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-zz",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			if tid != "" || sid != "" || sampled {
+				t.Fatalf("rejected %q but returned %q, %q, %v", h, tid, sid, sampled)
+			}
+			return
+		}
+		for _, id := range []string{tid, sid} {
+			if strings.Trim(id, "0123456789abcdef") != "" || strings.Trim(id, "0") == "" {
+				t.Fatalf("accepted %q with ID %q", h, id)
+			}
+		}
+		if len(tid) != 32 || len(sid) != 16 {
+			t.Fatalf("accepted %q with IDs of length %d and %d", h, len(tid), len(sid))
+		}
+		flags := h[len(h)-2:]
+		b, err := strconv.ParseUint(flags, 16, 8)
+		if err != nil || strings.ToLower(flags) != flags {
+			t.Fatalf("accepted %q with flags %q", h, flags)
+		}
+		if rebuilt := "00-" + tid + "-" + sid + "-" + flags; rebuilt != h {
+			t.Fatalf("accepted %q, which rebuilds as %q", h, rebuilt)
+		}
+		if sampled != (b&1 == 1) {
+			t.Fatalf("%q: sampled %v, flags %#x", h, sampled, b)
+		}
+	})
 }
 
 func TestSampledOutReturnsNil(t *testing.T) {
