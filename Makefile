@@ -38,15 +38,17 @@ race:
 
 # Short native-fuzz passes: arbitrary assembler source must never
 # panic, the compiled fnsim fast path must stay bit-identical to the
-# interpreter on arbitrary programs, result-store recovery from byte
-# flips and truncation must yield a valid prefix or refuse, never a
-# wrong record, the job-response parser must accept only bodies
+# interpreter on arbitrary programs, every generated program must run
+# identically on the reference, the co-simulated streams and all four
+# machines, result-store recovery from byte flips and truncation must
+# yield a valid prefix or refuse, never a wrong record, the job-response parser must accept only bodies
 # that re-encode byte-identically, and the traceparent parser must
 # accept only well-formed headers that rebuild from their parts.
 # Deeper runs: drop -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 3s ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzCompiledVsInterpreted -fuzztime 3s ./internal/fnsim
+	$(GO) test -run xxx -fuzz FuzzDifferentialPrograms -fuzztime 3s ./internal/machine
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 3s ./internal/resultstore
 	$(GO) test -run xxx -fuzz FuzzJobEnvelope -fuzztime 3s ./internal/simserver
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 3s ./internal/tracing

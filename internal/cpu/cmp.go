@@ -342,7 +342,7 @@ func (e *CMPEngine) cycle(now int64) error {
 			if d.isMem && ports >= cmpMemPorts {
 				break // port contention: retry next cycle
 			}
-			advanced, usedPort, taken, err := e.step(now, id, c, in)
+			advanced, usedPort, taken, err := e.step(now, id, c, in, d)
 			if err != nil {
 				return fmt.Errorf("cmp: CMAS %d pc %d (%v): %w", id, c.pc, in, err)
 			}
@@ -368,18 +368,12 @@ func (e *CMPEngine) cycle(now int64) error {
 	return nil
 }
 
-// step executes one CMAS instruction in context c; sources are known
-// ready. It reports whether the pc advanced (PUTSCQ on a full queue
-// retries), whether a cache port was consumed, and whether a taken
-// branch ended the issue group.
-func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst) (advanced, usedPort, taken bool, err error) {
+// step executes one CMAS instruction in context c, decoded as d;
+// sources are known ready. It reports whether the pc advanced (PUTSCQ
+// on a full queue retries), whether a cache port was consumed, and
+// whether a taken branch ended the issue group.
+func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst, d *dec) (advanced, usedPort, taken bool, err error) {
 	next := c.pc + 1
-	getInt := func(r isa.Reg) uint32 {
-		if r == isa.R0 {
-			return 0
-		}
-		return c.intR[r]
-	}
 	done := now + int64(in.Op.Class().Latency())
 
 	switch in.Op {
@@ -402,7 +396,7 @@ func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst) (advanced, u
 		}
 
 	case isa.LW, isa.LBU, isa.LFD, isa.PREF:
-		addr := getInt(in.Rs) + uint32(in.Imm)
+		addr := uint32(c.get(in.Rs)) + uint32(in.Imm)
 		if in.Op == isa.PREF && e.cfg.DynamicDistance {
 			addr += uint32(c.extraDist)
 		}
@@ -416,11 +410,11 @@ func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst) (advanced, u
 		// only consumers of a chased pointer wait.
 		switch in.Op {
 		case isa.LW:
-			e.setInt(c, in.Rd, e.mem.Read32(addr))
+			c.set(in.Rd, uint64(e.mem.Read32(addr)))
 		case isa.LBU:
-			e.setInt(c, in.Rd, uint32(e.mem.Read8(addr)))
+			c.set(in.Rd, uint64(e.mem.Read8(addr)))
 		case isa.LFD:
-			e.setFP(c, in.Rd, e.mem.ReadFloat64(addr))
+			c.set(in.Rd, e.mem.Read64(addr))
 		}
 		if in.Op != isa.PREF {
 			c.setReady(in.Dest(), fill)
@@ -431,10 +425,25 @@ func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst) (advanced, u
 	case isa.SW, isa.SB, isa.SFD:
 		return false, false, false, fmt.Errorf("store in CMAS (side-effect violation)")
 
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR, isa.XOR,
-		isa.NOR, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU:
-		v, evErr := isa.EvalIntALU(in.Op, getInt(in.Rs), getInt(in.Rt))
-		if evErr != nil {
+	case isa.J:
+		next = in.Target()
+		taken = true
+
+	default:
+		// Computational ops and conditional branches: the isa table.
+		if d.sem.Fn == nil {
+			return false, false, false, fmt.Errorf("op %v not supported on the CMP", in.Op)
+		}
+		var a, b uint64
+		if d.nsrc > 0 {
+			a = c.get(d.src[0])
+		}
+		if d.nsrc > 1 {
+			b = c.get(d.src[1])
+		} else if d.immB {
+			b = uint64(uint32(d.imm))
+		}
+		if d.sem.Faults(b) {
 			// A slice racing ahead of stale data may divide by zero;
 			// the result is speculative, so squash the thread rather
 			// than the simulation.
@@ -443,67 +452,19 @@ func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst) (advanced, u
 			e.closeSCQ(id)
 			return true, false, true, nil
 		}
-		e.setInt(c, in.Rd, v)
-	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI:
-		v, evErr := isa.EvalIntALUImm(in.Op, getInt(in.Rs), in.Imm)
-		if evErr != nil {
-			return false, false, false, evErr
-		}
-		e.setInt(c, in.Rd, v)
-	case isa.LI:
-		e.setInt(c, in.Rd, uint32(in.Imm))
-	case isa.LUI:
-		e.setInt(c, in.Rd, uint32(in.Imm)<<16)
-
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FMOV, isa.FNEG, isa.FABS:
-		a := e.getFP(c, in.Rs)
-		b := float64(0)
-		if in.Op.ReadsRt() {
-			b = e.getFP(c, in.Rt)
-		}
-		v, evErr := isa.EvalFP(in.Op, a, b)
-		if evErr != nil {
-			return false, false, false, evErr
-		}
-		e.setFP(c, in.Rd, v)
-	case isa.CVTIF:
-		e.setFP(c, in.Rd, float64(int32(getInt(in.Rs))))
-	case isa.CVTFI:
-		e.setInt(c, in.Rd, uint32(int32(math.Trunc(e.getFP(c, in.Rs)))))
-	case isa.FLT, isa.FLE, isa.FEQ:
-		v, evErr := isa.EvalFPCmp(in.Op, e.getFP(c, in.Rs), e.getFP(c, in.Rt))
-		if evErr != nil {
-			return false, false, false, evErr
-		}
-		if v {
-			e.setInt(c, in.Rd, 1)
+		v := d.sem.Fn(a, b)
+		if d.isCondBr {
+			if v != 0 {
+				next = in.Target()
+				taken = true
+			}
 		} else {
-			e.setInt(c, in.Rd, 0)
+			c.set(in.Rd, v)
 		}
-
-	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.BLTZ, isa.BGEZ:
-		b := uint32(0)
-		if in.Op == isa.BEQ || in.Op == isa.BNE {
-			b = getInt(in.Rt)
-		}
-		t, evErr := isa.EvalBranch(in.Op, getInt(in.Rs), b)
-		if evErr != nil {
-			return false, false, false, evErr
-		}
-		if t {
-			next = in.Target()
-			taken = true
-		}
-	case isa.J:
-		next = in.Target()
-		taken = true
-
-	default:
-		return false, false, false, fmt.Errorf("op %v not supported on the CMP", in.Op)
 	}
 
-	if d := in.Dest(); d.IsArch() {
-		c.setReady(d, done)
+	if d.dest.IsArch() {
+		c.setReady(d.dest, done)
 	}
 	c.pc = next
 	return true, usedPort, taken, nil
@@ -543,21 +504,23 @@ func (e *CMPEngine) scqFor(id int) *queue.Queue {
 	return e.scq[id]
 }
 
-func (e *CMPEngine) setInt(c *cmpCtx, r isa.Reg, v uint32) {
-	if r.IsInt() && r != isa.R0 {
-		c.intR[r] = v
-	}
-}
-
-func (e *CMPEngine) setFP(c *cmpCtx, r isa.Reg, v float64) {
-	if r.IsFP() {
-		c.fpR[r.FPIndex()] = v
-	}
-}
-
-func (e *CMPEngine) getFP(c *cmpCtx, r isa.Reg) float64 {
-	if r.IsFP() {
-		return c.fpR[r.FPIndex()]
+// get reads r as register bits (see isa.Sem); R0 reads 0.
+func (c *cmpCtx) get(r isa.Reg) uint64 {
+	switch {
+	case r.IsFP():
+		return math.Float64bits(c.fpR[r.FPIndex()])
+	case r.IsInt() && r != isa.R0:
+		return uint64(c.intR[r])
 	}
 	return 0
+}
+
+// set writes register bits v to r; writes to R0 are discarded.
+func (c *cmpCtx) set(r isa.Reg, v uint64) {
+	switch {
+	case r.IsFP():
+		c.fpR[r.FPIndex()] = math.Float64frombits(v)
+	case r.IsInt() && r != isa.R0:
+		c.intR[r] = uint32(v)
+	}
 }

@@ -7,6 +7,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -317,6 +318,11 @@ type dec struct {
 	pushCQ   bool // AnnPushCQ
 	isPutSCQ bool
 	isCondBr bool
+	immB     bool // sem's b operand is the immediate
+
+	// sem is the op's isa semantics entry; its Fn is nil for the ops
+	// the executors handle themselves (memory, queue, jumps).
+	sem isa.Sem
 
 	scqID  int32 // slip-control queue id for consumeSCQ/isGetSCQ
 	cmasID int32 // trigger target (AnnTrigger)
@@ -386,6 +392,8 @@ func decodeProg(insts []isa.Inst) []dec {
 		d.pushCQ = in.Ann.Has(isa.AnnPushCQ)
 		d.isPutSCQ = in.Op == isa.PUTSCQ
 		d.isCondBr = in.Op.IsCondBranch()
+		d.sem, _ = in.Op.Semantics()
+		d.immB = in.Op.ImmOperand()
 		d.hasPush = d.dest.IsQueue() || d.isPutSCQ || d.tapLDQ || d.tapSDQ || d.pushCQ
 		d.hasQSrc = in.Op == isa.GETSCQ
 		for si := 0; si < n; si++ {
@@ -1570,60 +1578,14 @@ func (c *Core) execute(now int64, e *entry, d *dec) {
 		}
 		return 0
 	}
-	asInt := func(i int) uint32 { return uint32(val(i)) }
-	asFP := func(i int) float64 { return math.Float64frombits(val(i)) }
 
 	var err error
 	switch d.op {
 	case isa.NOP, isa.HALT, isa.GETSCQ, isa.PUTSCQ:
 		// GETSCQ's credit is its operand; PUTSCQ pushes at commit.
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR, isa.XOR,
-		isa.NOR, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU:
-		var v uint32
-		v, err = isa.EvalIntALU(d.op, asInt(0), asInt(1))
-		e.result = uint64(v)
-	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI:
-		var v uint32
-		v, err = isa.EvalIntALUImm(d.op, asInt(0), d.imm)
-		e.result = uint64(v)
-	case isa.LI:
-		e.result = uint64(uint32(d.imm))
-	case isa.LUI:
-		e.result = uint64(uint32(d.imm) << 16)
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		var v float64
-		v, err = isa.EvalFP(d.op, asFP(0), asFP(1))
-		e.result = math.Float64bits(v)
-	case isa.FMOV, isa.FNEG, isa.FABS:
-		a := asFP(0)
-		// A queue source carries raw bits; interpret as FP.
-		var v float64
-		v, err = isa.EvalFP(d.op, a, 0)
-		e.result = math.Float64bits(v)
-	case isa.CVTIF:
-		e.result = math.Float64bits(float64(int32(asInt(0))))
-	case isa.CVTFI:
-		e.result = uint64(uint32(int32(math.Trunc(asFP(0)))))
-	case isa.FLT, isa.FLE, isa.FEQ:
-		var b bool
-		b, err = isa.EvalFPCmp(d.op, asFP(0), asFP(1))
-		if b {
-			e.result = 1
-		}
 	case isa.OUT, isa.OUTF:
 		e.result = val(0)
 
-	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.BLTZ, isa.BGEZ:
-		a := asInt(0)
-		b := uint32(0)
-		if d.op == isa.BEQ || d.op == isa.BNE {
-			b = asInt(1)
-		}
-		e.taken, err = isa.EvalBranch(d.op, a, b)
-		e.actualNext = e.pc + 1
-		if e.taken {
-			e.actualNext = d.target
-		}
 	case isa.BCQ:
 		c.resolveCtlToken(e, val(0))
 	case isa.J:
@@ -1635,7 +1597,7 @@ func (c *Core) execute(now int64, e *entry, d *dec) {
 		e.result = uint64(uint32(e.pc + 1))
 	case isa.JR, isa.JALR:
 		e.taken = true
-		e.actualNext = int(int32(asInt(0)))
+		e.actualNext = int(int32(uint32(val(0))))
 		if d.op == isa.JALR {
 			e.result = uint64(uint32(e.pc + 1))
 		}
@@ -1645,8 +1607,31 @@ func (c *Core) execute(now int64, e *entry, d *dec) {
 		}
 	case isa.JCQ:
 		c.resolveCtlToken(e, val(0))
+
 	default:
-		err = fmt.Errorf("unimplemented op %v", d.op)
+		// Computational ops and conditional branches: the isa table.
+		// The sources are register bits already (a queue source's raw
+		// bits included).
+		if d.sem.Fn == nil {
+			err = fmt.Errorf("unimplemented op %v", d.op)
+			break
+		}
+		a, b := val(0), val(1)
+		if d.immB {
+			b = uint64(uint32(d.imm))
+		}
+		if d.sem.Faults(b) {
+			err = errors.New(d.sem.Fault)
+		}
+		if d.isCondBr {
+			e.taken = d.sem.Fn(a, b) != 0
+			e.actualNext = e.pc + 1
+			if e.taken {
+				e.actualNext = d.target
+			}
+		} else {
+			e.result = d.sem.Fn(a, b)
+		}
 	}
 	if err != nil {
 		e.execErr = err

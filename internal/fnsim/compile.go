@@ -1,11 +1,13 @@
 // Compiled simulation: instead of re-interpreting an immutable program
 // one Step at a time, each basic block (cfg.Build) is pre-translated
-// into a chain of specialized closures — one func(*Sim) error per
-// instruction with operand registers, immediates and successor PCs
-// resolved at translate time. Blocks execute straight-line with a
-// single PC update at the block edge, and the per-instruction queue /
-// annotation checks of the interpreter are elided entirely for the
-// (overwhelmingly common) queue-free block.
+// into a sequence of micro-ops with operand registers, immediates and
+// successor PCs resolved at translate time. A computational op runs
+// straight from its isa semantics entry, rd <- Fn(r[rs], r[rt] | b),
+// so the entry is the only call it costs; memory, control and
+// faulting ops run a specialized closure. Blocks execute straight-line
+// with a single PC update at the block edge, and the per-instruction
+// queue / annotation checks of the interpreter are elided entirely for
+// the (overwhelmingly common) queue-free block.
 //
 // The fallback contract: any instruction the translator cannot
 // specialize — queue operations (pops, pushes, taps, BCQ/JCQ,
@@ -21,31 +23,53 @@
 //
 // A second, MemObserver-aware translation of every block serves the
 // cache profiler without putting an observer nil-check in the plain
-// fast path; the two translations share the closures of non-memory
+// fast path; the two translations share the micro-ops of non-memory
 // instructions.
 package fnsim
 
 import (
 	"fmt"
-	"math"
 
 	"hidisc/internal/cfg"
 	"hidisc/internal/isa"
 )
 
-// cop is one translated instruction. Intermediate closures of a block
-// never touch s.pc; the block's last closure performs the single PC
-// update. A closure that fails rewinds s.pc to its own instruction
-// first, so the Sim is left exactly as the interpreter would leave it.
+// cop is the closure of a translated instruction. Closures never touch
+// s.pc except to end a block (control transfers) or to rewind it to
+// their own instruction when they fail, so the Sim is left exactly as
+// the interpreter would leave it.
 type cop func(*Sim) error
 
-// cblock is the translation of one basic block.
+// uop is one translated instruction: a closure, or, when op is nil,
+// the computational op rd <- fn(r[rs], r[rt] | b). The immediate forms
+// read R0 as rt and carry the immediate in b; the two-source forms
+// have b = 0. A conditional branch is a uop that writes nothing (rd is
+// R0): its value decides the block's exit.
+type uop struct {
+	op         cop
+	fn         func(a, b uint64) uint64
+	b          uint64
+	rd, rs, rt isa.Reg
+}
+
+// cblock is the translation of one basic block. Run performs the
+// block's PC update after its last op, except for a jump, whose
+// closure performs it.
 type cblock struct {
 	start, end int
 	interp     bool  // execute through Step (fallback contract above)
-	ops        []cop // plain translation
-	obsOps     []cop // MemObserver-aware translation
+	exit       uint8 // how Run leaves the block (exitFall..exitJump)
+	target     int   // a conditional branch's taken target
+	ops        []uop // plain translation
+	obsOps     []uop // MemObserver-aware translation
 }
+
+// Block exits.
+const (
+	exitFall = uint8(iota) // pc <- end
+	exitCond               // pc <- target if the last uop's value is nonzero, else end
+	exitJump               // the last closure sets pc
+)
 
 // code is the compiled form of one program.
 type code struct {
@@ -68,11 +92,17 @@ func compile(p *isa.Program) *code {
 	for i, b := range g.Blocks {
 		cb := &c.blocks[i]
 		cb.start, cb.end = b.Start, b.End
-		cb.ops = make([]cop, 0, b.End-b.Start)
-		cb.obsOps = make([]cop, 0, b.End-b.Start)
+		switch last := p.Insts[b.End-1]; {
+		case last.Op.IsCondBranch():
+			cb.exit, cb.target = exitCond, last.Target()
+		case last.Op.IsControl():
+			cb.exit = exitJump
+		}
+		cb.ops = make([]uop, 0, b.End-b.Start)
+		cb.obsOps = make([]uop, 0, b.End-b.Start)
 		for pc := b.Start; pc < b.End; pc++ {
-			plain, obs := translate(p, pc, b.End, qfree)
-			if plain == nil {
+			plain, obs, ok := translate(p, pc, b.End, qfree)
+			if !ok {
 				cb.interp = true
 				cb.ops, cb.obsOps = nil, nil
 				break
@@ -103,232 +133,89 @@ func queueFree(p *isa.Program) []bool {
 	return out
 }
 
-// translate builds the plain and MemObserver-aware closures for the
-// instruction at pc inside a block ending at end. A nil plain closure
-// means the instruction is unspecializable and its block must fall
-// back to the interpreter.
-func translate(p *isa.Program, pc, end int, qfree []bool) (plain, obs cop) {
+// translate builds the plain and MemObserver-aware micro-ops for the
+// instruction at pc inside a block ending at end. ok is false when the
+// instruction is unspecializable and its block must fall back to the
+// interpreter.
+func translate(p *isa.Program, pc, end int, qfree []bool) (plain, obs uop, ok bool) {
 	in := p.Insts[pc]
 	if !qfree[pc] {
-		return nil, nil
+		return uop{}, uop{}, false
 	}
 	last := pc == end-1
 	rd, rs, rt := in.Rd, in.Rs, in.Rt
-
-	// seal attaches the block-edge PC update to the last closure of a
-	// block ending in a non-control instruction.
-	seal := func(op cop) cop {
-		if op == nil || !last {
-			return op
-		}
-		return func(s *Sim) error {
-			if err := op(s); err != nil {
-				return err
-			}
-			s.pc = end
-			return nil
-		}
-	}
-	// sealed finalises an op whose plain and observer translations are
-	// identical (everything except memory instructions).
-	sealed := func(op cop) (cop, cop) {
-		sp := seal(op)
-		return sp, sp
-	}
-	sealMem := func(plainOp, obsOp cop) (cop, cop) {
-		return seal(plainOp), seal(obsOp)
+	closures := func(plainOp, obsOp cop) (uop, uop, bool) {
+		return uop{op: plainOp}, uop{op: obsOp}, plainOp != nil
 	}
 
 	switch in.Op {
 	case isa.NOP:
-		return sealed(func(s *Sim) error { s.instCount++; return nil })
-
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR, isa.XOR,
-		isa.NOR, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU:
-		if !rs.IsInt() || !rt.IsInt() || !rd.IsInt() {
-			return nil, nil
-		}
-		return sealed(genIntALU3(in.Op, rd, rs, rt, pc))
-
-	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI:
-		if !rs.IsInt() || !rd.IsInt() {
-			return nil, nil
-		}
-		return sealed(genIntALUImm(in.Op, rd, rs, in.Imm))
-
-	case isa.LI:
-		if !rd.IsInt() {
-			return nil, nil
-		}
-		v := uint32(in.Imm)
-		return sealed(func(s *Sim) error {
-			if rd != isa.R0 {
-				s.intR[rd] = v
-			}
-			s.instCount++
-			return nil
-		})
-	case isa.LUI:
-		if !rd.IsInt() {
-			return nil, nil
-		}
-		v := uint32(in.Imm) << 16
-		return sealed(func(s *Sim) error {
-			if rd != isa.R0 {
-				s.intR[rd] = v
-			}
-			s.instCount++
-			return nil
-		})
+		op := func(s *Sim) error { s.instCount++; return nil }
+		return closures(op, op)
 
 	case isa.LW, isa.LBU, isa.LFD, isa.SW, isa.SB, isa.SFD, isa.PREF:
-		return sealMem(genMem(in, pc))
+		return closures(genMem(in, pc))
 
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		if !rs.IsFP() || !rt.IsFP() || !rd.IsFP() {
-			return nil, nil
-		}
-		return sealed(genFP3(in.Op, rd.FPIndex(), rs.FPIndex(), rt.FPIndex()))
-
-	case isa.FMOV, isa.FNEG, isa.FABS:
-		if !rs.IsFP() || !rd.IsFP() {
-			return nil, nil
-		}
-		return sealed(genFP2(in.Op, rd.FPIndex(), rs.FPIndex()))
-
-	case isa.CVTIF:
-		if !rs.IsInt() || !rd.IsFP() {
-			return nil, nil
-		}
-		rdi := rd.FPIndex()
-		return sealed(func(s *Sim) error {
-			s.fpR[rdi] = float64(int32(s.intR[rs]))
-			s.instCount++
-			return nil
-		})
-	case isa.CVTFI:
-		if !rs.IsFP() || !rd.IsInt() {
-			return nil, nil
-		}
-		rsi := rs.FPIndex()
-		return sealed(func(s *Sim) error {
-			if rd != isa.R0 {
-				s.intR[rd] = uint32(int32(math.Trunc(s.fpR[rsi])))
-			}
-			s.instCount++
-			return nil
-		})
-
-	case isa.FLT, isa.FLE, isa.FEQ:
-		if !rs.IsFP() || !rt.IsFP() || !rd.IsInt() {
-			return nil, nil
-		}
-		return sealed(genFPCmp(in.Op, rd, rs.FPIndex(), rt.FPIndex()))
-
-	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.BLTZ, isa.BGEZ,
-		isa.J, isa.JAL, isa.JR, isa.JALR:
+	case isa.J, isa.JAL, isa.JR, isa.JALR:
 		if !last {
-			return nil, nil // control always ends a block; be defensive
+			return uop{}, uop{}, false // control always ends a block; be defensive
 		}
-		op := genControl(in, pc, end)
-		return op, op
-
-	default:
-		// HALT, OUT, OUTF, GETSCQ, PUTSCQ, BCQ, JCQ (the last two are
-		// already rejected by the queue-free gate) and anything unknown:
-		// interpreter territory.
-		return nil, nil
+		op := genJump(in, pc)
+		return closures(op, op)
 	}
+
+	// Computational ops and conditional branches run their isa table
+	// entry. HALT, OUT, OUTF, GETSCQ, PUTSCQ, BCQ, JCQ (the last two
+	// are already rejected by the queue-free gate) and anything
+	// unknown are interpreter territory, as is an operand outside the
+	// register file its entry names.
+	sem, known := in.Op.Semantics()
+	if !known ||
+		in.Op.ReadsRs() && !rs.InFile(sem.FPSrc) ||
+		in.Op.ReadsRt() && !rt.InFile(sem.FPSrc) ||
+		in.Op.WritesRd() && !rd.InFile(sem.FPDst) {
+		return uop{}, uop{}, false
+	}
+	// Unread operands read R0, which is always 0.
+	u := uop{fn: sem.Fn, rd: rd, rs: rs, rt: rt}
+	if !in.Op.ReadsRs() {
+		u.rs = isa.R0
+	}
+	if !in.Op.ReadsRt() {
+		u.rt = isa.R0
+	}
+	if in.Op.ImmOperand() {
+		u.b = uint64(uint32(in.Imm))
+	}
+	if in.Op.IsCondBranch() {
+		if !last {
+			return uop{}, uop{}, false
+		}
+		u.rd = isa.R0
+	}
+	if sem.Fault != "" {
+		op := genFaulting(u, sem, pc)
+		return closures(op, op)
+	}
+	return u, u, true
 }
 
-// genIntALU3 translates the three-register integer ALU group. DIV and
-// REM capture pc for the division-by-zero error, which must leave the
-// Sim exactly as the interpreter does (pc at the faulting instruction,
-// instruction not counted).
-func genIntALU3(op isa.Op, rd, rs, rt isa.Reg, pc int) cop {
-	set := func(s *Sim, v uint32) {
-		if rd != isa.R0 {
-			s.intR[rd] = v
+// genFaulting translates DIV and REM. The zero-divisor error must
+// leave the Sim exactly as the interpreter does (pc at the faulting
+// instruction, instruction not counted).
+func genFaulting(u uop, sem isa.Sem, pc int) cop {
+	return func(s *Sim) error {
+		b := s.r[u.rt]
+		if sem.Faults(b) {
+			s.pc = pc
+			return fmt.Errorf("fnsim: pc %d: %s", pc, sem.Fault)
+		}
+		if u.rd != isa.R0 {
+			s.r[u.rd] = u.fn(s.r[u.rs], b)
 		}
 		s.instCount++
+		return nil
 	}
-	switch op {
-	case isa.ADD:
-		return func(s *Sim) error { set(s, s.intR[rs]+s.intR[rt]); return nil }
-	case isa.SUB:
-		return func(s *Sim) error { set(s, s.intR[rs]-s.intR[rt]); return nil }
-	case isa.MUL:
-		return func(s *Sim) error { set(s, uint32(int32(s.intR[rs])*int32(s.intR[rt]))); return nil }
-	case isa.DIV:
-		return func(s *Sim) error {
-			b := s.intR[rt]
-			if b == 0 {
-				s.pc = pc
-				return fmt.Errorf("fnsim: pc %d: integer division by zero", pc)
-			}
-			set(s, uint32(int32(s.intR[rs])/int32(b)))
-			return nil
-		}
-	case isa.REM:
-		return func(s *Sim) error {
-			b := s.intR[rt]
-			if b == 0 {
-				s.pc = pc
-				return fmt.Errorf("fnsim: pc %d: integer remainder by zero", pc)
-			}
-			set(s, uint32(int32(s.intR[rs])%int32(b)))
-			return nil
-		}
-	case isa.AND:
-		return func(s *Sim) error { set(s, s.intR[rs]&s.intR[rt]); return nil }
-	case isa.OR:
-		return func(s *Sim) error { set(s, s.intR[rs]|s.intR[rt]); return nil }
-	case isa.XOR:
-		return func(s *Sim) error { set(s, s.intR[rs]^s.intR[rt]); return nil }
-	case isa.NOR:
-		return func(s *Sim) error { set(s, ^(s.intR[rs] | s.intR[rt])); return nil }
-	case isa.SLL:
-		return func(s *Sim) error { set(s, s.intR[rs]<<(s.intR[rt]&31)); return nil }
-	case isa.SRL:
-		return func(s *Sim) error { set(s, s.intR[rs]>>(s.intR[rt]&31)); return nil }
-	case isa.SRA:
-		return func(s *Sim) error { set(s, uint32(int32(s.intR[rs])>>(s.intR[rt]&31))); return nil }
-	case isa.SLT:
-		return func(s *Sim) error { set(s, b2u(int32(s.intR[rs]) < int32(s.intR[rt]))); return nil }
-	case isa.SLTU:
-		return func(s *Sim) error { set(s, b2u(s.intR[rs] < s.intR[rt])); return nil }
-	}
-	return nil
-}
-
-// genIntALUImm translates the immediate integer ALU group.
-func genIntALUImm(op isa.Op, rd, rs isa.Reg, imm int32) cop {
-	b := uint32(imm)
-	set := func(s *Sim, v uint32) {
-		if rd != isa.R0 {
-			s.intR[rd] = v
-		}
-		s.instCount++
-	}
-	switch op {
-	case isa.ADDI:
-		return func(s *Sim) error { set(s, s.intR[rs]+b); return nil }
-	case isa.ANDI:
-		return func(s *Sim) error { set(s, s.intR[rs]&b); return nil }
-	case isa.ORI:
-		return func(s *Sim) error { set(s, s.intR[rs]|b); return nil }
-	case isa.XORI:
-		return func(s *Sim) error { set(s, s.intR[rs]^b); return nil }
-	case isa.SLLI:
-		return func(s *Sim) error { set(s, s.intR[rs]<<(b&31)); return nil }
-	case isa.SRLI:
-		return func(s *Sim) error { set(s, s.intR[rs]>>(b&31)); return nil }
-	case isa.SRAI:
-		return func(s *Sim) error { set(s, uint32(int32(s.intR[rs])>>(b&31))); return nil }
-	case isa.SLTI:
-		return func(s *Sim) error { set(s, b2u(int32(s.intR[rs]) < imm)); return nil }
-	}
-	return nil
 }
 
 // genMem translates loads, stores and PREF, returning the plain and
@@ -343,28 +230,19 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 	}
 	uimm := uint32(in.Imm)
 	switch in.Op {
-	case isa.LW:
+	case isa.LW, isa.LBU:
 		if !rd.IsInt() {
 			return nil, nil
 		}
+		byteWide := in.Op == isa.LBU
 		load := func(s *Sim) uint32 {
-			a := s.intR[rs] + uimm
+			a := uint32(s.r[rs]) + uimm
 			if rd != isa.R0 {
-				s.intR[rd] = s.Mem.Read32(a)
-			}
-			s.instCount++
-			return a
-		}
-		return func(s *Sim) error { load(s); return nil },
-			func(s *Sim) error { s.MemObserver(pc, load(s), true, false); return nil }
-	case isa.LBU:
-		if !rd.IsInt() {
-			return nil, nil
-		}
-		load := func(s *Sim) uint32 {
-			a := s.intR[rs] + uimm
-			if rd != isa.R0 {
-				s.intR[rd] = uint32(s.Mem.Read8(a))
+				if byteWide {
+					s.r[rd] = uint64(s.Mem.Read8(a))
+				} else {
+					s.r[rd] = uint64(s.Mem.Read32(a))
+				}
 			}
 			s.instCount++
 			return a
@@ -375,10 +253,9 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 		if !rd.IsFP() {
 			return nil, nil
 		}
-		rdi := rd.FPIndex()
 		load := func(s *Sim) uint32 {
-			a := s.intR[rs] + uimm
-			s.fpR[rdi] = s.Mem.ReadFloat64(a)
+			a := uint32(s.r[rs]) + uimm
+			s.r[rd] = s.Mem.Read64(a)
 			s.instCount++
 			return a
 		}
@@ -390,11 +267,11 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 		}
 		byteWide := in.Op == isa.SB
 		store := func(s *Sim) uint32 {
-			a := s.intR[rs] + uimm
+			a := uint32(s.r[rs]) + uimm
 			if byteWide {
-				s.Mem.Write8(a, byte(s.intR[rt]))
+				s.Mem.Write8(a, byte(s.r[rt]))
 			} else {
-				s.Mem.Write32(a, s.intR[rt])
+				s.Mem.Write32(a, uint32(s.r[rt]))
 			}
 			s.instCount++
 			return a
@@ -405,10 +282,9 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 		if !rt.IsFP() {
 			return nil, nil
 		}
-		rti := rt.FPIndex()
 		store := func(s *Sim) uint32 {
-			a := s.intR[rs] + uimm
-			s.Mem.WriteFloat64(a, s.fpR[rti])
+			a := uint32(s.r[rs]) + uimm
+			s.Mem.Write64(a, s.r[rt])
 			s.instCount++
 			return a
 		}
@@ -418,7 +294,7 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 		// No architectural effect: the plain translation only counts.
 		return func(s *Sim) error { s.instCount++; return nil },
 			func(s *Sim) error {
-				a := s.intR[rs] + uimm
+				a := uint32(s.r[rs]) + uimm
 				s.instCount++
 				s.MemObserver(pc, a, false, true)
 				return nil
@@ -427,94 +303,18 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 	return nil, nil
 }
 
-// genFP3 translates the three-register FP arithmetic group.
-func genFP3(op isa.Op, rdi, rsi, rti int) cop {
-	switch op {
-	case isa.FADD:
-		return func(s *Sim) error { s.fpR[rdi] = s.fpR[rsi] + s.fpR[rti]; s.instCount++; return nil }
-	case isa.FSUB:
-		return func(s *Sim) error { s.fpR[rdi] = s.fpR[rsi] - s.fpR[rti]; s.instCount++; return nil }
-	case isa.FMUL:
-		return func(s *Sim) error { s.fpR[rdi] = s.fpR[rsi] * s.fpR[rti]; s.instCount++; return nil }
-	case isa.FDIV:
-		return func(s *Sim) error { s.fpR[rdi] = s.fpR[rsi] / s.fpR[rti]; s.instCount++; return nil }
-	}
-	return nil
-}
-
-// genFP2 translates the two-register FP group.
-func genFP2(op isa.Op, rdi, rsi int) cop {
-	switch op {
-	case isa.FMOV:
-		return func(s *Sim) error { s.fpR[rdi] = s.fpR[rsi]; s.instCount++; return nil }
-	case isa.FNEG:
-		return func(s *Sim) error { s.fpR[rdi] = -s.fpR[rsi]; s.instCount++; return nil }
-	case isa.FABS:
-		return func(s *Sim) error { s.fpR[rdi] = math.Abs(s.fpR[rsi]); s.instCount++; return nil }
-	}
-	return nil
-}
-
-// genFPCmp translates the FP compares (integer 0/1 destination).
-func genFPCmp(op isa.Op, rd isa.Reg, rsi, rti int) cop {
-	set := func(s *Sim, cond bool) {
-		if rd != isa.R0 {
-			s.intR[rd] = b2u(cond)
-		}
-		s.instCount++
-	}
-	switch op {
-	case isa.FLT:
-		return func(s *Sim) error { set(s, s.fpR[rsi] < s.fpR[rti]); return nil }
-	case isa.FLE:
-		return func(s *Sim) error { set(s, s.fpR[rsi] <= s.fpR[rti]); return nil }
-	case isa.FEQ:
-		return func(s *Sim) error { set(s, s.fpR[rsi] == s.fpR[rti]); return nil }
-	}
-	return nil
-}
-
-// genControl translates the block-terminating control instructions:
-// the closure performs the block's PC update itself (taken target or
-// the fall-through successor, which is the block end).
-func genControl(in isa.Inst, pc, end int) cop {
-	rd, rs, rt := in.Rd, in.Rs, in.Rt
+// genJump translates the block-terminating unconditional control
+// transfers.
+func genJump(in isa.Inst, pc int) cop {
+	rd, rs := in.Rd, in.Rs
 	target := in.Target()
+	link := uint64(pc + 1)
 	switch in.Op {
-	case isa.BEQ, isa.BNE:
-		if !rs.IsInt() || !rt.IsInt() {
-			return nil
-		}
-		wantEq := in.Op == isa.BEQ
-		return func(s *Sim) error {
-			s.instCount++
-			if (s.intR[rs] == s.intR[rt]) == wantEq {
-				s.pc = target
-			} else {
-				s.pc = end
-			}
-			return nil
-		}
-	case isa.BLEZ, isa.BGTZ, isa.BLTZ, isa.BGEZ:
-		if !rs.IsInt() {
-			return nil
-		}
-		cond := genZeroCmp(in.Op)
-		return func(s *Sim) error {
-			s.instCount++
-			if cond(int32(s.intR[rs])) {
-				s.pc = target
-			} else {
-				s.pc = end
-			}
-			return nil
-		}
 	case isa.J:
 		return func(s *Sim) error { s.instCount++; s.pc = target; return nil }
 	case isa.JAL:
-		link := uint32(pc + 1)
 		return func(s *Sim) error {
-			s.intR[isa.RA] = link
+			s.r[isa.RA] = link
 			s.instCount++
 			s.pc = target
 			return nil
@@ -524,7 +324,7 @@ func genControl(in isa.Inst, pc, end int) cop {
 			return nil
 		}
 		return func(s *Sim) error {
-			t := s.intR[rs]
+			t := s.r[rs]
 			s.instCount++
 			s.pc = int(t)
 			return nil
@@ -533,11 +333,10 @@ func genControl(in isa.Inst, pc, end int) cop {
 		if !rs.IsInt() || !rd.IsInt() {
 			return nil
 		}
-		link := uint32(pc + 1)
 		return func(s *Sim) error {
-			t := s.intR[rs]
+			t := s.r[rs]
 			if rd != isa.R0 {
-				s.intR[rd] = link
+				s.r[rd] = link
 			}
 			s.instCount++
 			s.pc = int(t)
@@ -545,18 +344,4 @@ func genControl(in isa.Inst, pc, end int) cop {
 		}
 	}
 	return nil
-}
-
-// genZeroCmp returns the compare-against-zero predicate of a
-// single-operand branch.
-func genZeroCmp(op isa.Op) func(int32) bool {
-	switch op {
-	case isa.BLEZ:
-		return func(a int32) bool { return a <= 0 }
-	case isa.BGTZ:
-		return func(a int32) bool { return a > 0 }
-	case isa.BLTZ:
-		return func(a int32) bool { return a < 0 }
-	}
-	return func(a int32) bool { return a >= 0 } // BGEZ
 }

@@ -54,10 +54,13 @@ type Event struct {
 type Sim struct {
 	prog   *isa.Program
 	Mem    *mem.Memory
-	intR   [isa.NumIntRegs]uint32
-	fpR    [isa.NumFPRegs]float64
 	pc     int
 	halted bool
+
+	// r is the register file indexed by isa.Reg, in the semantics
+	// table's register-bits convention: integers zero-extended, FP
+	// values as IEEE-754 bits. r[R0] stays 0.
+	r [isa.NumIntRegs + isa.NumFPRegs]uint64
 
 	instCount uint64
 	output    []string
@@ -108,7 +111,7 @@ type Sim struct {
 func New(p *isa.Program) *Sim {
 	s := &Sim{prog: p, Mem: mem.NewMemory(), pc: p.Entry}
 	s.Mem.LoadSegment(isa.DataBase, p.Data)
-	s.intR[isa.SP] = isa.StackTop
+	s.r[isa.SP] = uint64(isa.StackTop)
 	s.usesQ = make([]bool, len(p.Insts))
 	for i, in := range p.Insts {
 		uses := in.Dest().IsQueue() ||
@@ -141,7 +144,7 @@ func (s *Sim) IntReg(r isa.Reg) uint32 {
 	if !r.IsInt() {
 		panic(fmt.Sprintf("fnsim: IntReg(%v)", r))
 	}
-	return s.intR[r]
+	return uint32(s.r[r])
 }
 
 // FPReg returns the value of a floating point register.
@@ -149,7 +152,7 @@ func (s *Sim) FPReg(r isa.Reg) float64 {
 	if !r.IsFP() {
 		panic(fmt.Sprintf("fnsim: FPReg(%v)", r))
 	}
-	return s.fpR[r.FPIndex()]
+	return math.Float64frombits(s.r[r])
 }
 
 // Run executes until HALT or maxInsts instructions, whichever first.
@@ -196,9 +199,31 @@ func (s *Sim) Run(maxInsts uint64) error {
 		if observed {
 			ops = b.obsOps
 		}
-		for _, op := range ops[s.pc-b.start:] {
-			if err := op(s); err != nil {
-				return err
+		// A closure runs itself; a computational uop runs here, and the
+		// last one's value decides a conditional exit (see uop).
+		ops = ops[s.pc-b.start:]
+		var v uint64
+		for i := range ops {
+			u := &ops[i]
+			if u.op != nil {
+				if err := u.op(s); err != nil {
+					return err
+				}
+				continue
+			}
+			v = u.fn(s.r[u.rs], s.r[u.rt]|u.b)
+			if u.rd != isa.R0 {
+				s.r[u.rd] = v
+			}
+			s.instCount++
+		}
+		switch b.exit {
+		case exitFall:
+			s.pc = b.end
+		case exitCond:
+			s.pc = b.end
+			if v != 0 {
+				s.pc = b.target
 			}
 		}
 	}
@@ -218,50 +243,43 @@ func (s *Sim) runInterp(maxInsts uint64) error {
 	return nil
 }
 
-func (s *Sim) getInt(r isa.Reg) (uint32, error) {
+// get reads operand r as register bits from the FP file when fp is
+// set, the integer file otherwise; a queue operand pops instead.
+func (s *Sim) get(r isa.Reg, fp bool) (uint64, error) {
 	if r.IsQueue() && s.Queues != nil {
-		return uint32(s.Queues.Pop(r)), nil
+		v := s.Queues.Pop(r)
+		if !fp {
+			v = uint64(uint32(v))
+		}
+		return v, nil
 	}
-	if !r.IsInt() {
-		return 0, fmt.Errorf("fnsim: pc %d: integer operand %v invalid in this execution mode", s.pc, r)
+	if !r.InFile(fp) {
+		return 0, fmt.Errorf("fnsim: pc %d: %s operand %v invalid in this execution mode", s.pc, fileName(fp), r)
 	}
-	return s.intR[r], nil
+	return s.r[r], nil
 }
 
-func (s *Sim) getFP(r isa.Reg) (float64, error) {
+// set writes register bits v to r, which must be in the FP file when
+// fp is set and the integer file otherwise; a queue destination pushes.
+func (s *Sim) set(r isa.Reg, fp bool, v uint64) error {
 	if r.IsQueue() && s.Queues != nil {
-		return math.Float64frombits(s.Queues.Pop(r)), nil
-	}
-	if !r.IsFP() {
-		return 0, fmt.Errorf("fnsim: pc %d: FP operand %v invalid in this execution mode", s.pc, r)
-	}
-	return s.fpR[r.FPIndex()], nil
-}
-
-func (s *Sim) setInt(r isa.Reg, v uint32) error {
-	if r.IsQueue() && s.Queues != nil {
-		s.Queues.Push(r, uint64(v))
+		s.Queues.Push(r, v)
 		return nil
 	}
-	if !r.IsInt() {
-		return fmt.Errorf("fnsim: pc %d: integer destination %v invalid in this execution mode", s.pc, r)
+	if !r.InFile(fp) {
+		return fmt.Errorf("fnsim: pc %d: %s destination %v invalid in this execution mode", s.pc, fileName(fp), r)
 	}
 	if r != isa.R0 {
-		s.intR[r] = v
+		s.r[r] = v
 	}
 	return nil
 }
 
-func (s *Sim) setFP(r isa.Reg, v float64) error {
-	if r.IsQueue() && s.Queues != nil {
-		s.Queues.Push(r, math.Float64bits(v))
-		return nil
+func fileName(fp bool) string {
+	if fp {
+		return "FP"
 	}
-	if !r.IsFP() {
-		return fmt.Errorf("fnsim: pc %d: FP destination %v invalid in this execution mode", s.pc, r)
-	}
-	s.fpR[r.FPIndex()] = v
-	return nil
+	return "integer"
 }
 
 // queueReady checks the instruction's queue pops and pushes against
@@ -342,228 +360,92 @@ func (s *Sim) Step() error {
 	case isa.HALT:
 		s.halted = true
 
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR, isa.XOR,
-		isa.NOR, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLTU:
-		a, err := s.getInt(in.Rs)
-		if err != nil {
-			return err
-		}
-		b, err := s.getInt(in.Rt)
-		if err != nil {
-			return err
-		}
-		v, err := s.intALU(in.Op, a, b)
-		if err != nil {
-			return err
-		}
-		if err := s.setInt(in.Rd, v); err != nil {
-			return err
-		}
-
-	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI:
-		a, err := s.getInt(in.Rs)
-		if err != nil {
-			return err
-		}
-		v, err := s.intALUImm(in.Op, a, in.Imm)
-		if err != nil {
-			return err
-		}
-		if err := s.setInt(in.Rd, v); err != nil {
-			return err
-		}
-
-	case isa.LI:
-		if err := s.setInt(in.Rd, uint32(in.Imm)); err != nil {
-			return err
-		}
-	case isa.LUI:
-		if err := s.setInt(in.Rd, uint32(in.Imm)<<16); err != nil {
-			return err
-		}
-
 	case isa.LW, isa.LBU, isa.LFD:
-		base, err := s.getInt(in.Rs)
+		base, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
-		addr = base + uint32(in.Imm)
+		addr = uint32(base) + uint32(in.Imm)
 		isMem, isLoad = true, true
 		switch in.Op {
 		case isa.LW:
-			err = s.setInt(in.Rd, s.Mem.Read32(addr))
+			err = s.set(in.Rd, false, uint64(s.Mem.Read32(addr)))
 		case isa.LBU:
-			err = s.setInt(in.Rd, uint32(s.Mem.Read8(addr)))
+			err = s.set(in.Rd, false, uint64(s.Mem.Read8(addr)))
 		case isa.LFD:
-			err = s.setFP(in.Rd, s.Mem.ReadFloat64(addr))
+			err = s.set(in.Rd, true, s.Mem.Read64(addr))
 		}
 		if err != nil {
 			return err
 		}
 
 	case isa.SW, isa.SB, isa.SFD:
-		base, err := s.getInt(in.Rs)
+		base, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
-		addr = base + uint32(in.Imm)
+		addr = uint32(base) + uint32(in.Imm)
 		isMem = true
+		v, err := s.get(in.Rt, in.Op == isa.SFD)
+		if err != nil {
+			return err
+		}
 		switch in.Op {
 		case isa.SW:
-			v, err := s.getInt(in.Rt)
-			if err != nil {
-				return err
-			}
-			s.Mem.Write32(addr, v)
+			s.Mem.Write32(addr, uint32(v))
 		case isa.SB:
-			v, err := s.getInt(in.Rt)
-			if err != nil {
-				return err
-			}
 			s.Mem.Write8(addr, byte(v))
 		case isa.SFD:
-			v, err := s.getFP(in.Rt)
-			if err != nil {
-				return err
-			}
-			s.Mem.WriteFloat64(addr, v)
+			s.Mem.Write64(addr, v)
 		}
 
 	case isa.PREF:
-		base, err := s.getInt(in.Rs)
+		base, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
-		isMem, addr = true, base+uint32(in.Imm)
+		isMem, addr = true, uint32(base)+uint32(in.Imm)
 		// No architectural effect.
-
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		a, err := s.getFP(in.Rs)
-		if err != nil {
-			return err
-		}
-		b, err := s.getFP(in.Rt)
-		if err != nil {
-			return err
-		}
-		var v float64
-		switch in.Op {
-		case isa.FADD:
-			v = a + b
-		case isa.FSUB:
-			v = a - b
-		case isa.FMUL:
-			v = a * b
-		case isa.FDIV:
-			v = a / b
-		}
-		if err := s.setFP(in.Rd, v); err != nil {
-			return err
-		}
-
-	case isa.FMOV, isa.FNEG, isa.FABS:
-		a, err := s.getFP(in.Rs)
-		if err != nil {
-			return err
-		}
-		switch in.Op {
-		case isa.FNEG:
-			a = -a
-		case isa.FABS:
-			a = math.Abs(a)
-		}
-		if err := s.setFP(in.Rd, a); err != nil {
-			return err
-		}
-
-	case isa.CVTIF:
-		a, err := s.getInt(in.Rs)
-		if err != nil {
-			return err
-		}
-		if err := s.setFP(in.Rd, float64(int32(a))); err != nil {
-			return err
-		}
-	case isa.CVTFI:
-		a, err := s.getFP(in.Rs)
-		if err != nil {
-			return err
-		}
-		if err := s.setInt(in.Rd, uint32(int32(math.Trunc(a)))); err != nil {
-			return err
-		}
-
-	case isa.FLT, isa.FLE, isa.FEQ:
-		a, err := s.getFP(in.Rs)
-		if err != nil {
-			return err
-		}
-		b, err := s.getFP(in.Rt)
-		if err != nil {
-			return err
-		}
-		var cond bool
-		switch in.Op {
-		case isa.FLT:
-			cond = a < b
-		case isa.FLE:
-			cond = a <= b
-		case isa.FEQ:
-			cond = a == b
-		}
-		if err := s.setInt(in.Rd, b2u(cond)); err != nil {
-			return err
-		}
-
-	case isa.BEQ, isa.BNE, isa.BLEZ, isa.BGTZ, isa.BLTZ, isa.BGEZ:
-		t, err := s.evalBranch(in)
-		if err != nil {
-			return err
-		}
-		taken = t
-		if taken {
-			next = in.Target()
-		}
 
 	case isa.J:
 		taken = true
 		next = in.Target()
 	case isa.JAL:
 		taken = true
-		if err := s.setInt(isa.RA, uint32(s.pc+1)); err != nil {
+		if err := s.set(isa.RA, false, uint64(s.pc+1)); err != nil {
 			return err
 		}
 		next = in.Target()
 	case isa.JR:
-		t, err := s.getInt(in.Rs)
+		t, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
 		taken = true
 		next = int(t)
 	case isa.JALR:
-		t, err := s.getInt(in.Rs)
+		t, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
-		if err := s.setInt(in.Rd, uint32(s.pc+1)); err != nil {
+		if err := s.set(in.Rd, false, uint64(s.pc+1)); err != nil {
 			return err
 		}
 		taken = true
 		next = int(t)
 
 	case isa.OUT:
-		v, err := s.getInt(in.Rs)
+		v, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
 		s.output = append(s.output, fmt.Sprintf("%d", int32(v)))
 	case isa.OUTF:
-		v, err := s.getFP(in.Rs)
+		v, err := s.get(in.Rs, true)
 		if err != nil {
 			return err
 		}
-		s.output = append(s.output, fmt.Sprintf("%g", v))
+		s.output = append(s.output, fmt.Sprintf("%g", math.Float64frombits(v)))
 
 	case isa.BCQ:
 		token := s.Queues.Pop(isa.RegCQ)
@@ -595,7 +477,37 @@ func (s *Sim) Step() error {
 		}
 
 	default:
-		return fmt.Errorf("fnsim: pc %d: unimplemented op %v", s.pc, in.Op)
+		// Computational ops and conditional branches: the isa table.
+		sem, ok := in.Op.Semantics()
+		if !ok {
+			return fmt.Errorf("fnsim: pc %d: unimplemented op %v", s.pc, in.Op)
+		}
+		var a, b uint64
+		var err error
+		if in.Op.ReadsRs() {
+			if a, err = s.get(in.Rs, sem.FPSrc); err != nil {
+				return err
+			}
+		}
+		if in.Op.ReadsRt() {
+			if b, err = s.get(in.Rt, sem.FPSrc); err != nil {
+				return err
+			}
+		} else if in.Op.ImmOperand() {
+			b = uint64(uint32(in.Imm))
+		}
+		if sem.Faults(b) {
+			return fmt.Errorf("fnsim: pc %d: %s", s.pc, sem.Fault)
+		}
+		v := sem.Fn(a, b)
+		if in.Op.IsCondBranch() {
+			taken = v != 0
+			if taken {
+				next = in.Target()
+			}
+		} else if err := s.set(in.Rd, sem.FPDst, v); err != nil {
+			return err
+		}
 	}
 
 	// Queue taps and control-outcome pushes (the pre-check reserved
@@ -607,11 +519,7 @@ func (s *Sim) Step() error {
 				if in.Ann.Has(isa.AnnTapSDQ) {
 					q = isa.RegSDQ
 				}
-				if d.IsFP() {
-					s.Queues.Push(q, math.Float64bits(s.fpR[d.FPIndex()]))
-				} else {
-					s.Queues.Push(q, uint64(s.intR[d]))
-				}
+				s.Queues.Push(q, s.r[d])
 			}
 		}
 		if in.Ann.Has(isa.AnnPushCQ) {
@@ -637,103 +545,6 @@ func (s *Sim) Step() error {
 		s.MemObserver(pc, addr, isLoad, in.Op == isa.PREF)
 	}
 	return nil
-}
-
-func (s *Sim) evalBranch(in isa.Inst) (bool, error) {
-	a, err := s.getInt(in.Rs)
-	if err != nil {
-		return false, err
-	}
-	switch in.Op {
-	case isa.BEQ, isa.BNE:
-		b, err := s.getInt(in.Rt)
-		if err != nil {
-			return false, err
-		}
-		if in.Op == isa.BEQ {
-			return a == b, nil
-		}
-		return a != b, nil
-	case isa.BLEZ:
-		return int32(a) <= 0, nil
-	case isa.BGTZ:
-		return int32(a) > 0, nil
-	case isa.BLTZ:
-		return int32(a) < 0, nil
-	case isa.BGEZ:
-		return int32(a) >= 0, nil
-	}
-	return false, fmt.Errorf("fnsim: evalBranch(%v)", in.Op)
-}
-
-func (s *Sim) intALU(op isa.Op, a, b uint32) (uint32, error) {
-	switch op {
-	case isa.ADD:
-		return a + b, nil
-	case isa.SUB:
-		return a - b, nil
-	case isa.MUL:
-		return uint32(int32(a) * int32(b)), nil
-	case isa.DIV:
-		if b == 0 {
-			return 0, fmt.Errorf("fnsim: pc %d: integer division by zero", s.pc)
-		}
-		return uint32(int32(a) / int32(b)), nil
-	case isa.REM:
-		if b == 0 {
-			return 0, fmt.Errorf("fnsim: pc %d: integer remainder by zero", s.pc)
-		}
-		return uint32(int32(a) % int32(b)), nil
-	case isa.AND:
-		return a & b, nil
-	case isa.OR:
-		return a | b, nil
-	case isa.XOR:
-		return a ^ b, nil
-	case isa.NOR:
-		return ^(a | b), nil
-	case isa.SLL:
-		return a << (b & 31), nil
-	case isa.SRL:
-		return a >> (b & 31), nil
-	case isa.SRA:
-		return uint32(int32(a) >> (b & 31)), nil
-	case isa.SLT:
-		return b2u(int32(a) < int32(b)), nil
-	case isa.SLTU:
-		return b2u(a < b), nil
-	}
-	return 0, fmt.Errorf("fnsim: intALU(%v)", op)
-}
-
-func (s *Sim) intALUImm(op isa.Op, a uint32, imm int32) (uint32, error) {
-	b := uint32(imm)
-	switch op {
-	case isa.ADDI:
-		return a + b, nil
-	case isa.ANDI:
-		return a & b, nil
-	case isa.ORI:
-		return a | b, nil
-	case isa.XORI:
-		return a ^ b, nil
-	case isa.SLLI:
-		return a << (b & 31), nil
-	case isa.SRLI:
-		return a >> (b & 31), nil
-	case isa.SRAI:
-		return uint32(int32(a) >> (b & 31)), nil
-	case isa.SLTI:
-		return b2u(int32(a) < imm), nil
-	}
-	return 0, fmt.Errorf("fnsim: intALUImm(%v)", op)
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Result bundles the observable outcome of a run for comparisons.

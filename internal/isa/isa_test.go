@@ -371,109 +371,3 @@ func TestProgramListing(t *testing.T) {
 		}
 	}
 }
-
-func TestEvalIntALU(t *testing.T) {
-	cases := []struct {
-		op   Op
-		a, b uint32
-		want uint32
-	}{
-		{ADD, 3, 4, 7},
-		{ADD, 0xFFFFFFFF, 1, 0}, // wraps
-		{SUB, 3, 5, 0xFFFFFFFE},
-		{MUL, 0xFFFF, 0xFFFF, 0xFFFE0001},
-		{DIV, 0xFFFFFFF9, 2, 0xFFFFFFFD}, // -7/2 = -3 (trunc)
-		{REM, 0xFFFFFFF9, 2, 0xFFFFFFFF}, // -7%2 = -1
-		{AND, 0b1100, 0b1010, 0b1000},
-		{OR, 0b1100, 0b1010, 0b1110},
-		{XOR, 0b1100, 0b1010, 0b0110},
-		{NOR, 0, 0, 0xFFFFFFFF},
-		{SLL, 1, 35, 8}, // shift amount masked to 5 bits
-		{SRL, 0x80000000, 31, 1},
-		{SRA, 0x80000000, 31, 0xFFFFFFFF},
-		{SLT, 0xFFFFFFFF, 0, 1}, // -1 < 0 signed
-		{SLTU, 0xFFFFFFFF, 0, 0},
-	}
-	for _, c := range cases {
-		got, err := EvalIntALU(c.op, c.a, c.b)
-		if err != nil || got != c.want {
-			t.Errorf("EvalIntALU(%v, %#x, %#x) = %#x, %v; want %#x", c.op, c.a, c.b, got, err, c.want)
-		}
-	}
-	if _, err := EvalIntALU(DIV, 1, 0); err == nil {
-		t.Error("division by zero accepted")
-	}
-	if _, err := EvalIntALU(REM, 1, 0); err == nil {
-		t.Error("remainder by zero accepted")
-	}
-	if _, err := EvalIntALU(ADDI, 1, 1); err == nil {
-		t.Error("immediate op accepted by three-register eval")
-	}
-}
-
-func TestEvalIntALUImm(t *testing.T) {
-	if v, _ := EvalIntALUImm(ADDI, 5, -3); v != 2 {
-		t.Errorf("addi = %d", v)
-	}
-	if v, _ := EvalIntALUImm(SLTI, 0xFFFFFFFF, 0); v != 1 {
-		t.Errorf("slti signed = %d", v)
-	}
-	if v, _ := EvalIntALUImm(SRAI, 0x80000000, 4); v != 0xF8000000 {
-		t.Errorf("srai = %#x", v)
-	}
-	if _, err := EvalIntALUImm(ADD, 1, 1); err == nil {
-		t.Error("register op accepted by immediate eval")
-	}
-}
-
-func TestEvalFPAndCompares(t *testing.T) {
-	if v, _ := EvalFP(FADD, 1.5, 2.25); v != 3.75 {
-		t.Errorf("fadd = %v", v)
-	}
-	if v, _ := EvalFP(FNEG, 2.0, 0); v != -2.0 {
-		t.Errorf("fneg = %v", v)
-	}
-	if v, _ := EvalFP(FABS, -2.0, 0); v != 2.0 {
-		t.Errorf("fabs = %v", v)
-	}
-	if _, err := EvalFP(ADD, 1, 2); err == nil {
-		t.Error("integer op accepted by FP eval")
-	}
-	if b, _ := EvalFPCmp(FLT, 1, 2); !b {
-		t.Error("1 < 2 false")
-	}
-	if b, _ := EvalFPCmp(FLE, 2, 2); !b {
-		t.Error("2 <= 2 false")
-	}
-	if b, _ := EvalFPCmp(FEQ, 2, 3); b {
-		t.Error("2 == 3 true")
-	}
-	if _, err := EvalFPCmp(FADD, 1, 2); err == nil {
-		t.Error("arithmetic op accepted by compare eval")
-	}
-}
-
-func TestEvalBranch(t *testing.T) {
-	cases := []struct {
-		op   Op
-		a, b uint32
-		want bool
-	}{
-		{BEQ, 5, 5, true},
-		{BNE, 5, 5, false},
-		{BLEZ, 0, 0, true},
-		{BLEZ, 0xFFFFFFFF, 0, true}, // -1 <= 0
-		{BGTZ, 1, 0, true},
-		{BLTZ, 0x80000000, 0, true},
-		{BGEZ, 0, 0, true},
-	}
-	for _, c := range cases {
-		got, err := EvalBranch(c.op, c.a, c.b)
-		if err != nil || got != c.want {
-			t.Errorf("EvalBranch(%v, %#x) = %v, %v; want %v", c.op, c.a, got, err, c.want)
-		}
-	}
-	if _, err := EvalBranch(J, 0, 0); err == nil {
-		t.Error("jump accepted by branch eval")
-	}
-}

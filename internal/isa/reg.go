@@ -107,6 +107,15 @@ func (r Reg) IsQueue() bool { return r >= RegLDQ && r <= RegSCQ }
 // IsArch reports whether r is a real architectural register (int or FP).
 func (r Reg) IsArch() bool { return r < 64 }
 
+// InFile reports whether r is a register of the FP file when fp is set,
+// of the integer file otherwise.
+func (r Reg) InFile(fp bool) bool {
+	if fp {
+		return r.IsFP()
+	}
+	return r.IsInt()
+}
+
 // FPIndex returns the register's index in the FP register file.
 func (r Reg) FPIndex() int { return int(r - F0) }
 

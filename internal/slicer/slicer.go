@@ -285,13 +285,16 @@ func (s *separator) computeMirrored() {
 				stack = append(stack, s.g.Blocks[r].Succs...)
 			}
 			// Unconditional direct jumps inside the region are thinned
-			// together with the branch, provided they stay inside.
+			// together with the branch, provided they stay inside. A
+			// call (JAL) never is: its callee's JR still pushes the
+			// return target on the control queue, which the CS would
+			// then pop as a branch outcome.
 			thinnableCtl := map[int]bool{i: true}
 			ok := true
 			for r := range region {
 				blk := s.g.Blocks[r]
 				last := s.p.Insts[blk.End-1]
-				if last.Op == isa.J || last.Op == isa.JAL {
+				if last.Op == isa.J {
 					t := s.g.BlockOf[last.Target()]
 					if region[t] || t == ipd {
 						thinnableCtl[blk.End-1] = true

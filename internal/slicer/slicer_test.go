@@ -1053,3 +1053,43 @@ main:   halt
 		t.Errorf("fault = %+v", cl)
 	}
 }
+
+// TestThinningKeepsCallsMirrored is the reduced form of a generated
+// program that diverged: branch thinning took the JAL inside each loop
+// along with the loop branch (the callee h2 post-dominates the branch,
+// since the CFG links every JR to every return point), but the callee's
+// JR still pushed its return target on the control queue, and the
+// computation stream popped that target as a branch outcome. Only J is
+// thinned with a branch now; a call keeps its mirror.
+func TestThinningKeepsCallsMirrored(t *testing.T) {
+	b := checkEquivalence(t, "thin-call", `
+main:   li   $r20, 10
+L1:     jal  h2
+        addi $r20, $r20, -1
+        bgtz $r20, L1
+        li   $r20, 2
+L2:     jal  h2
+        addi $r10, $r10, 25
+        addi $r20, $r20, -1
+        bgtz $r20, L2
+        li   $r20, 9
+L3:     jal  h1
+        addi $r20, $r20, -1
+        bgtz $r20, L3
+        out  $r10
+        halt
+h1:     mul  $r12, $r12, $r13
+        jr   $ra
+h2:     andi $r8, $r14, 2044
+        jr   $ra
+`)
+	calls := 0 // the CS mirrors a call as a J (the AS keeps the link)
+	for _, in := range b.CS.Insts {
+		if in.Op == isa.J || in.Op == isa.JAL {
+			calls++
+		}
+	}
+	if calls != 3 {
+		t.Errorf("CS keeps %d of the 3 calls:\n%s", calls, b.CS.Listing())
+	}
+}
