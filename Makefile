@@ -4,9 +4,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt build vet test race fuzz-smoke bench bench-smoke bench-json bench-ab bench-guard serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
+.PHONY: ci fmt build vet test race portable fuzz-smoke bench bench-smoke bench-json bench-ab bench-guard serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
 
-ci: fmt vet build test race fuzz-smoke bench-smoke serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
+ci: fmt vet build test race portable fuzz-smoke bench-smoke serve-smoke trace-smoke store-smoke cluster-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,24 @@ perfbench-test:
 # them under the race detector.
 race:
 	$(GO) test -race ./internal/experiments ./internal/machine ./internal/queue ./internal/cpu ./internal/simserver ./internal/fnsim ./internal/resultstore ./internal/cluster
+
+# Host independence: a measurement's bytes must not depend on the
+# machine that simulated it. The packages that execute the ISA run
+# their tests with a 32-bit int (386 runs natively on amd64), and the
+# arm64 assembly of the workload references and the simulator packages
+# must hold no fused multiply-add: the simulated mul.d and add.d each
+# round, so a fused reference could disagree with them.
+PORTABLE_TEST_PKGS = ./internal/isa ./internal/mem ./internal/fnsim ./internal/cpu
+FMA_SCAN_PKGS = ./internal/workloads ./internal/isa ./internal/mem ./internal/fnsim \
+	./internal/cpu ./internal/queue ./internal/bpred ./internal/cfg ./internal/asm \
+	./internal/slicer ./internal/profile ./internal/machine ./internal/stats ./internal/experiments
+portable:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test $(PORTABLE_TEST_PKGS)
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_SCAN_PKGS) 2>&1) || { echo "$$out" >&2; exit 1; }; \
+	fused=$$(echo "$$out" | grep -E '[[:space:]]F(N?MADD|N?MSUB)[SD]?[[:space:]]'); \
+	if [ -n "$$fused" ]; then echo "portable: fused multiply-add in arm64 code:" >&2; echo "$$fused" >&2; exit 1; \
+	else echo "portable: no fused multiply-add in arm64 code"; fi
 
 # Short native-fuzz passes: arbitrary assembler source must never
 # panic, the compiled fnsim fast path must stay bit-identical to the

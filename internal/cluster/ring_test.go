@@ -10,7 +10,7 @@ import (
 func testKeys(k int) []string {
 	keys := make([]string, k)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("%064x", i*2654435761)
+		keys[i] = fmt.Sprintf("%064x", uint64(i)*2654435761)
 	}
 	return keys
 }

@@ -76,8 +76,7 @@ type CMPStats struct {
 type cmpCtx struct {
 	active  bool
 	pc      int
-	intR    [isa.NumIntRegs]uint32
-	fpR     [isa.NumFPRegs]float64
+	r       [isa.NumIntRegs + isa.NumFPRegs]uint64 // register bits, as Core.r
 	readyAt [isa.NumIntRegs + isa.NumFPRegs]int64
 	insts   uint64
 
@@ -191,10 +190,10 @@ func (e *CMPEngine) ActiveContexts() int {
 // Fork starts (or restarts) the CMAS thread for id with the given
 // architectural context. A trigger that arrives while the thread is
 // still running is ignored — the running slice is already ahead. The
-// register arrays are passed by pointer (triggers fire on the
-// dispatch hot path) and copied here once the fork is accepted; the
-// caller's arrays are not retained.
-func (e *CMPEngine) Fork(id int, ir *[isa.NumIntRegs]uint32, fr *[isa.NumFPRegs]float64) {
+// register file is passed by pointer (triggers fire on the dispatch
+// hot path) and copied here once the fork is accepted; the caller's
+// array is not retained.
+func (e *CMPEngine) Fork(id int, r *[isa.NumIntRegs + isa.NumFPRegs]uint64) {
 	if id < 0 || id >= len(e.progs) {
 		return
 	}
@@ -202,7 +201,7 @@ func (e *CMPEngine) Fork(id int, ir *[isa.NumIntRegs]uint32, fr *[isa.NumFPRegs]
 		e.stats.ForksIgnored++
 		return
 	}
-	e.ctxs[id] = cmpCtx{active: true, intR: *ir, fpR: *fr}
+	e.ctxs[id] = cmpCtx{active: true, r: *r}
 	if id < len(e.scq) && e.scq[id] != nil {
 		// Retire the previous slip-control queue generation and start a
 		// fresh one in the shared slice. Claims still in flight against
@@ -408,15 +407,8 @@ func (e *CMPEngine) step(now int64, id int, c *cmpCtx, in isa.Inst, d *dec) (adv
 		}
 		// Non-blocking: the value is scoreboarded at the fill time, so
 		// only consumers of a chased pointer wait.
-		switch in.Op {
-		case isa.LW:
-			c.set(in.Rd, uint64(e.mem.Read32(addr)))
-		case isa.LBU:
-			c.set(in.Rd, uint64(e.mem.Read8(addr)))
-		case isa.LFD:
-			c.set(in.Rd, e.mem.Read64(addr))
-		}
-		if in.Op != isa.PREF {
+		if in.Op.IsLoad() {
+			c.set(in.Rd, e.mem.Load(addr, d.msize))
 			c.setReady(in.Dest(), fill)
 		}
 		c.pc = next
@@ -504,23 +496,18 @@ func (e *CMPEngine) scqFor(id int) *queue.Queue {
 	return e.scq[id]
 }
 
-// get reads r as register bits (see isa.Sem); R0 reads 0.
+// get reads r as register bits (see isa.Sem); R0 and a queue read 0.
 func (c *cmpCtx) get(r isa.Reg) uint64 {
-	switch {
-	case r.IsFP():
-		return math.Float64bits(c.fpR[r.FPIndex()])
-	case r.IsInt() && r != isa.R0:
-		return uint64(c.intR[r])
+	if r.IsArch() {
+		return c.r[r]
 	}
 	return 0
 }
 
-// set writes register bits v to r; writes to R0 are discarded.
+// set writes register bits v to r; writes to R0 and queues are
+// discarded.
 func (c *cmpCtx) set(r isa.Reg, v uint64) {
-	switch {
-	case r.IsFP():
-		c.fpR[r.FPIndex()] = math.Float64frombits(v)
-	case r.IsInt() && r != isa.R0:
-		c.intR[r] = uint32(v)
+	if r.IsArch() && r != isa.R0 {
+		c.r[r] = v
 	}
 }

@@ -319,6 +319,7 @@ type dec struct {
 	isPutSCQ bool
 	isCondBr bool
 	immB     bool // sem's b operand is the immediate
+	link     bool // a linking jump: its result is isa.Link(pc)
 
 	// sem is the op's isa semantics entry; its Fn is nil for the ops
 	// the executors handle themselves (memory, queue, jumps).
@@ -386,7 +387,8 @@ func decodeProg(insts []isa.Inst) []dec {
 		d.isLoad = in.Op.IsLoad() || in.Op == isa.PREF
 		d.isStore = in.Op.IsStore()
 		d.dest = in.Dest()
-		d.msize = uint32(memSize(in.Op))
+		d.msize = in.Op.MemWidth()
+		d.link = in.Op.Links()
 		d.tapLDQ = in.Ann.Has(isa.AnnTapLDQ)
 		d.tapSDQ = in.Ann.Has(isa.AnnTapSDQ)
 		d.pushCQ = in.Ann.Has(isa.AnnPushCQ)
@@ -506,8 +508,9 @@ type Core struct {
 	// direction (too low → a wasted scan, never a missed completion).
 	minComplete int64
 
-	intR [isa.NumIntRegs]uint32
-	fpR  [isa.NumFPRegs]float64
+	// r is the committed register file indexed by isa.Reg, in register
+	// bits (see isa.Sem); r[R0] stays 0.
+	r [isa.NumIntRegs + isa.NumFPRegs]uint64
 
 	pc           int
 	fetchStopped bool
@@ -644,10 +647,10 @@ type Core struct {
 
 	// OnTrigger, when set, is invoked at dispatch of a trigger-
 	// annotated instruction with the CMAS id and the committed
-	// architectural register context. The arrays are passed by
-	// pointer to keep the dispatch path copy-free; the callee must
-	// copy what it keeps and not retain the pointers.
-	OnTrigger func(id int, ir *[isa.NumIntRegs]uint32, fr *[isa.NumFPRegs]float64)
+	// register file. The array is passed by pointer to keep the
+	// dispatch path copy-free; the callee must copy what it keeps and
+	// not retain the pointer.
+	OnTrigger func(id int, r *[isa.NumIntRegs + isa.NumFPRegs]uint64)
 }
 
 // pow2at rounds n up to the next power of two (minimum 1).
@@ -735,7 +738,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy, qs Queu
 		poolFPMulDv:  &c.fpMulDv,
 		poolMem:      &c.memPorts,
 	}
-	c.intR[isa.SP] = isa.StackTop
+	c.r[isa.SP] = uint64(isa.StackTop)
 	return c
 }
 
@@ -757,7 +760,7 @@ func (c *Core) Output() []string { return c.output }
 func (c *Core) Name() string { return c.cfg.Name }
 
 // IntReg returns a committed integer register value (tests).
-func (c *Core) IntReg(r isa.Reg) uint32 { return c.intR[r] }
+func (c *Core) IntReg(r isa.Reg) uint32 { return uint32(c.r[r]) }
 
 // queueWake is the push-wakeup callback registered on every queue this
 // core claims from: when a claimed value arrives (Push) or the queue
@@ -982,7 +985,7 @@ func (c *Core) commitInsts(now int64) error {
 
 		// Effects.
 		if e.dest.IsArch() && e.dest != isa.R0 {
-			c.writeReg(e.dest, e.result)
+			c.r[e.dest] = e.result
 			if c.rename[e.dest] == e.handle() {
 				c.rename[e.dest] = NoHandle
 			}
@@ -1186,23 +1189,7 @@ func (c *Core) pushPlan(e *entry) []pushOp {
 
 func (c *Core) storeCommit(now int64, e *entry) {
 	c.hier.Access(now, e.addr, true, false)
-	v := e.srcsBuf[1].val
-	switch c.deco[e.pc].op {
-	case isa.SW:
-		c.mem.Write32(e.addr, uint32(v))
-	case isa.SB:
-		c.mem.Write8(e.addr, byte(v))
-	case isa.SFD:
-		c.mem.Write64(e.addr, v)
-	}
-}
-
-func (c *Core) writeReg(r isa.Reg, raw uint64) {
-	if r.IsFP() {
-		c.fpR[r.FPIndex()] = math.Float64frombits(raw)
-	} else if r != isa.R0 {
-		c.intR[r] = uint32(raw)
-	}
+	c.mem.Store(e.addr, c.deco[e.pc].msize, e.srcsBuf[1].val)
 }
 
 // --- writeback ---
@@ -1403,9 +1390,8 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 			return // disambiguation wait: stays a candidate
 		}
 		if fwd != nil {
-			if err := c.loadForward(e, fwd); err != nil {
-				e.execErr = err
-			}
+			// The store covers exactly the load's bytes.
+			e.result = mem.Trunc(fwd.srcsBuf[1].val, c.deco[e.pc].msize)
 			e.issued = true
 			c.due[slot] = now + 1
 			c.readyBm &^= bit
@@ -1424,8 +1410,11 @@ func (c *Core) issueVisit(now int64, slot uint32, issued *int, retryAt *int64) {
 			}
 			return // port-blocked: stays a candidate
 		}
-		done := c.hier.Access(now, e.addr, false, c.deco[e.pc].op == isa.PREF)
-		c.loadValue(e)
+		// Disambiguation guarantees no older in-flight store overlaps.
+		// A PREF's value goes nowhere: it has no destination.
+		d := &c.deco[e.pc]
+		done := c.hier.Access(now, e.addr, false, d.op == isa.PREF)
+		e.result = c.mem.Load(e.addr, d.msize)
 		e.issued = true
 		c.due[slot] = done
 		c.readyBm &^= bit
@@ -1528,45 +1517,6 @@ func (c *Core) loadDisambiguate(e *entry) (ok bool, fwd *entry, wait bool) {
 	return true, newestFwd, false
 }
 
-func (c *Core) loadForward(e *entry, s *entry) error {
-	v := s.srcsBuf[1].val
-	switch c.deco[e.pc].op {
-	case isa.LW:
-		e.result = uint64(uint32(v))
-	case isa.LBU:
-		e.result = uint64(byte(v))
-	case isa.LFD:
-		e.result = v
-	}
-	return nil
-}
-
-// loadValue reads the architectural value; disambiguation guarantees
-// no older in-flight store overlaps.
-func (c *Core) loadValue(e *entry) {
-	switch c.deco[e.pc].op {
-	case isa.LW:
-		e.result = uint64(c.mem.Read32(e.addr))
-	case isa.LBU:
-		e.result = uint64(c.mem.Read8(e.addr))
-	case isa.LFD:
-		e.result = c.mem.Read64(e.addr)
-	case isa.PREF:
-		// no architectural effect
-	}
-}
-
-func memSize(op isa.Op) int {
-	switch op {
-	case isa.LBU, isa.SB:
-		return 1
-	case isa.LFD, isa.SFD:
-		return 8
-	default:
-		return 4
-	}
-}
-
 // execute computes the result of a non-memory instruction and
 // schedules its completion d.lat cycles out (the decode-table latency
 // of its functional-unit class). Everything it needs is in the decode
@@ -1588,19 +1538,12 @@ func (c *Core) execute(now int64, e *entry, d *dec) {
 
 	case isa.BCQ:
 		c.resolveCtlToken(e, val(0))
-	case isa.J:
+	case isa.J, isa.JAL:
 		e.taken = true
 		e.actualNext = d.target
-	case isa.JAL:
-		e.taken = true
-		e.actualNext = d.target
-		e.result = uint64(uint32(e.pc + 1))
 	case isa.JR, isa.JALR:
 		e.taken = true
 		e.actualNext = int(int32(uint32(val(0))))
-		if d.op == isa.JALR {
-			e.result = uint64(uint32(e.pc + 1))
-		}
 		if e.actualNext < 0 || e.actualNext >= len(c.prog.Insts) {
 			err = fmt.Errorf("indirect jump to %d out of range", e.actualNext)
 			e.actualNext = 0
@@ -1632,6 +1575,9 @@ func (c *Core) execute(now int64, e *entry, d *dec) {
 		} else {
 			e.result = d.sem.Fn(a, b)
 		}
+	}
+	if d.link {
+		e.result = isa.Link(e.pc)
 	}
 	if err != nil {
 		e.execErr = err
@@ -1745,7 +1691,7 @@ func (c *Core) dispatchInsts(now int64) {
 						c.waiters[ps] = append(c.waiters[ps], h)
 					}
 				} else {
-					s.val = c.readReg(r)
+					s.val = c.r[r]
 					s.ready = true
 				}
 			}
@@ -1800,7 +1746,7 @@ func (c *Core) dispatchInsts(now int64) {
 		}
 
 		if c.cfg.EnableTriggers && d.trigger && c.OnTrigger != nil {
-			c.OnTrigger(int(d.cmasID), &c.intR, &c.fpR)
+			c.OnTrigger(int(d.cmasID), &c.r)
 		}
 
 		// Control-queue branches resolve at dispatch when their token
@@ -1871,13 +1817,6 @@ func (c *Core) translateJCQ(v uint64) (int, bool) {
 		return 0, false
 	}
 	return t, true
-}
-
-func (c *Core) readReg(r isa.Reg) uint64 {
-	if r.IsFP() {
-		return math.Float64bits(c.fpR[r.FPIndex()])
-	}
-	return uint64(c.intR[r])
 }
 
 // --- fetch ---

@@ -131,6 +131,65 @@ main:   li   $r1, 1234
 	}
 }
 
+// snanBits is a signalling NaN: an FP value moved as a float64 could
+// be quieted, so every load and store must keep its bits.
+const snanBits = 0x7FF0000000000001
+
+// TestSignallingNaNRoundTrip moves a signalling NaN through the core's
+// load, store commit and store-to-load forwarding paths, and through a
+// CMP load.
+func TestSignallingNaNRoundTrip(t *testing.T) {
+	src := `
+        .data
+x:      .word 1, 0x7FF00000
+        .space 16
+        .text
+main:   la   $r2, x
+        l.d  $f1, 0($r2)
+        s.d  $f1, 8($r2)
+        l.d  $f2, 8($r2)
+        s.d  $f2, 16($r2)
+        halt
+`
+	c, _ := runCore(t, src, Config{Name: "ss"})
+	// The second l.d forwards: its store's data arrives with the first
+	// l.d's fill, before that store can commit. So L1D sees the first
+	// l.d and the two store commits only.
+	if got := c.hier.Stats().L1D.DemandAccesses; got != 3 {
+		t.Errorf("L1D demand accesses = %d, want 3 (the second l.d forwarded)", got)
+	}
+	for _, off := range []uint32{8, 16} {
+		if got := c.mem.Load(isa.DataBase+off, 8); got != snanBits {
+			t.Errorf("core: x+%d = %#x, want %#x", off, got, uint64(snanBits))
+		}
+	}
+	if got := c.r[isa.F(2)]; got != snanBits {
+		t.Errorf("core: $f2 = %#x, want %#x", got, uint64(snanBits))
+	}
+
+	m := mem.NewMemory()
+	m.Store(0x1000_0000, 8, snanBits)
+	h, err := mem.NewHierarchy(mem.DefaultHierConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewCMP(CMPConfig{}, [][]isa.Inst{{
+		{Op: isa.LFD, Rd: isa.F(3), Rs: isa.R2},
+		{Op: isa.HALT},
+	}}, m, h, nil)
+	var regs [isa.NumIntRegs + isa.NumFPRegs]uint64
+	regs[isa.R2] = 0x1000_0000
+	e.Fork(0, &regs)
+	for now := int64(0); now < 1000 && e.ActiveContexts() > 0; now++ {
+		if err := e.Cycle(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.ctxs[0].r[isa.F(3)]; got != snanBits {
+		t.Errorf("CMP: $f3 = %#x, want %#x", got, uint64(snanBits))
+	}
+}
+
 func TestPartialOverlapStoreLoadWaits(t *testing.T) {
 	// Byte store followed by word load of the same address must still
 	// produce the architecturally correct value (the load waits for the
@@ -353,9 +412,9 @@ func newCMPTestEngine(t *testing.T, scqCap int) (*CMPEngine, *queue.Queue, *mem.
 
 func TestCMPPrefetchesAndCloses(t *testing.T) {
 	e, _, h := newCMPTestEngine(t, 256)
-	var ir [isa.NumIntRegs]uint32
-	ir[isa.R2] = 0x1000_0000
-	e.Fork(0, &ir, &[isa.NumFPRegs]float64{})
+	var regs [isa.NumIntRegs + isa.NumFPRegs]uint64
+	regs[isa.R2] = 0x1000_0000
+	e.Fork(0, &regs)
 	scq := e.SCQ(0) // forking starts a fresh queue generation
 	for now := int64(0); now < 100000 && e.ActiveContexts() > 0; now++ {
 		if err := e.Cycle(now); err != nil {
@@ -385,9 +444,9 @@ func TestCMPPrefetchesAndCloses(t *testing.T) {
 
 func TestCMPThrottledBySCQ(t *testing.T) {
 	e, _, _ := newCMPTestEngine(t, 4)
-	var ir [isa.NumIntRegs]uint32
-	ir[isa.R2] = 0x1000_0000
-	e.Fork(0, &ir, &[isa.NumFPRegs]float64{})
+	var regs [isa.NumIntRegs + isa.NumFPRegs]uint64
+	regs[isa.R2] = 0x1000_0000
+	e.Fork(0, &regs)
 	scq := e.SCQ(0)
 	for now := int64(0); now < 5000; now++ {
 		if err := e.Cycle(now); err != nil {
@@ -420,9 +479,9 @@ func TestCMPThrottledBySCQ(t *testing.T) {
 
 func TestCMPForkIgnoredWhileRunning(t *testing.T) {
 	e, _, _ := newCMPTestEngine(t, 256)
-	var ir [isa.NumIntRegs]uint32
-	e.Fork(0, &ir, &[isa.NumFPRegs]float64{})
-	e.Fork(0, &ir, &[isa.NumFPRegs]float64{})
+	var regs [isa.NumIntRegs + isa.NumFPRegs]uint64
+	e.Fork(0, &regs)
+	e.Fork(0, &regs)
 	if e.Stats().Forks != 1 || e.Stats().ForksIgnored != 1 {
 		t.Errorf("forks %d ignored %d", e.Stats().Forks, e.Stats().ForksIgnored)
 	}
@@ -430,7 +489,7 @@ func TestCMPForkIgnoredWhileRunning(t *testing.T) {
 
 func TestCMPShutdown(t *testing.T) {
 	e, _, _ := newCMPTestEngine(t, 256)
-	e.Fork(0, &[isa.NumIntRegs]uint32{}, &[isa.NumFPRegs]float64{})
+	e.Fork(0, &[isa.NumIntRegs + isa.NumFPRegs]uint64{})
 	scq := e.SCQ(0)
 	e.Shutdown()
 	if e.ActiveContexts() != 0 {
@@ -449,7 +508,7 @@ func TestCMPStoreRejected(t *testing.T) {
 	h, _ := mem.NewHierarchy(mem.DefaultHierConfig())
 	prog := []isa.Inst{{Op: isa.SW, Rs: isa.R2, Rt: isa.R3}, {Op: isa.HALT}}
 	e := NewCMP(CMPConfig{}, [][]isa.Inst{prog}, m, h, []*queue.Queue{queue.New("s", 4)})
-	e.Fork(0, &[isa.NumIntRegs]uint32{}, &[isa.NumFPRegs]float64{})
+	e.Fork(0, &[isa.NumIntRegs + isa.NumFPRegs]uint64{})
 	var err error
 	for now := int64(0); now < 10 && err == nil; now++ {
 		err = e.Cycle(now)
@@ -465,7 +524,7 @@ func TestCMPRunawayGuard(t *testing.T) {
 	prog := []isa.Inst{{Op: isa.J, Imm: 0}} // infinite loop
 	scq := queue.New("s", 4)
 	e := NewCMP(CMPConfig{MaxInstsPerThread: 100}, [][]isa.Inst{prog}, m, h, []*queue.Queue{scq})
-	e.Fork(0, &[isa.NumIntRegs]uint32{}, &[isa.NumFPRegs]float64{})
+	e.Fork(0, &[isa.NumIntRegs + isa.NumFPRegs]uint64{})
 	scq = e.SCQ(0)
 	for now := int64(0); now < 10000 && e.ActiveContexts() > 0; now++ {
 		if err := e.Cycle(now); err != nil {
@@ -496,10 +555,10 @@ func TestCMPDynamicDistanceGrows(t *testing.T) {
 	scq := queue.New("s", 1024)
 	e := NewCMP(CMPConfig{DynamicDistance: true, DynamicWindow: 16, DynamicStep: 32, MaxDynamicDistance: 128},
 		[][]isa.Inst{prog}, m, h, []*queue.Queue{scq})
-	var ir [isa.NumIntRegs]uint32
-	ir[isa.R1] = 400
-	ir[isa.R2] = 0x1000_0000
-	e.Fork(0, &ir, &[isa.NumFPRegs]float64{})
+	var regs [isa.NumIntRegs + isa.NumFPRegs]uint64
+	regs[isa.R1] = 400
+	regs[isa.R2] = 0x1000_0000
+	e.Fork(0, &regs)
 	for now := int64(0); now < 100000 && e.ActiveContexts() > 0; now++ {
 		if err := e.Cycle(now); err != nil {
 			t.Fatal(err)
@@ -529,10 +588,10 @@ func TestCMPDynamicDistanceIdleWhenFilling(t *testing.T) {
 	scq := queue.New("s", 1024)
 	e := NewCMP(CMPConfig{DynamicDistance: true, DynamicWindow: 16},
 		[][]isa.Inst{prog}, m, h, []*queue.Queue{scq})
-	var ir [isa.NumIntRegs]uint32
-	ir[isa.R1] = 300
-	ir[isa.R2] = 0x1000_0000
-	e.Fork(0, &ir, &[isa.NumFPRegs]float64{})
+	var regs [isa.NumIntRegs + isa.NumFPRegs]uint64
+	regs[isa.R1] = 300
+	regs[isa.R2] = 0x1000_0000
+	e.Fork(0, &regs)
 	for now := int64(0); now < 100000 && e.ActiveContexts() > 0; now++ {
 		if err := e.Cycle(now); err != nil {
 			t.Fatal(err)

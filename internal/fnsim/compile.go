@@ -148,15 +148,15 @@ func translate(p *isa.Program, pc, end int, qfree []bool) (plain, obs uop, ok bo
 		return uop{op: plainOp}, uop{op: obsOp}, plainOp != nil
 	}
 
-	switch in.Op {
-	case isa.NOP:
+	switch {
+	case in.Op == isa.NOP:
 		op := func(s *Sim) error { s.instCount++; return nil }
 		return closures(op, op)
 
-	case isa.LW, isa.LBU, isa.LFD, isa.SW, isa.SB, isa.SFD, isa.PREF:
+	case in.Op.IsMem():
 		return closures(genMem(in, pc))
 
-	case isa.J, isa.JAL, isa.JR, isa.JALR:
+	case in.Op.IsJump():
 		if !last {
 			return uop{}, uop{}, false // control always ends a block; be defensive
 		}
@@ -229,108 +229,59 @@ func genMem(in isa.Inst, pc int) (plain, obs cop) {
 		return nil, nil
 	}
 	uimm := uint32(in.Imm)
-	switch in.Op {
-	case isa.LW, isa.LBU:
-		if !rd.IsInt() {
+	width, fp := in.Op.MemWidth(), in.Op.IsFP()
+	switch {
+	case in.Op.IsLoad():
+		if !rd.InFile(fp) {
 			return nil, nil
 		}
-		byteWide := in.Op == isa.LBU
 		load := func(s *Sim) uint32 {
 			a := uint32(s.r[rs]) + uimm
 			if rd != isa.R0 {
-				if byteWide {
-					s.r[rd] = uint64(s.Mem.Read8(a))
-				} else {
-					s.r[rd] = uint64(s.Mem.Read32(a))
-				}
+				s.r[rd] = s.Mem.Load(a, width)
 			}
 			s.instCount++
 			return a
 		}
 		return func(s *Sim) error { load(s); return nil },
 			func(s *Sim) error { s.MemObserver(pc, load(s), true, false); return nil }
-	case isa.LFD:
-		if !rd.IsFP() {
+	case in.Op.IsStore():
+		if !rt.InFile(fp) {
 			return nil, nil
 		}
-		load := func(s *Sim) uint32 {
-			a := uint32(s.r[rs]) + uimm
-			s.r[rd] = s.Mem.Read64(a)
-			s.instCount++
-			return a
-		}
-		return func(s *Sim) error { load(s); return nil },
-			func(s *Sim) error { s.MemObserver(pc, load(s), true, false); return nil }
-	case isa.SW, isa.SB:
-		if !rt.IsInt() {
-			return nil, nil
-		}
-		byteWide := in.Op == isa.SB
 		store := func(s *Sim) uint32 {
 			a := uint32(s.r[rs]) + uimm
-			if byteWide {
-				s.Mem.Write8(a, byte(s.r[rt]))
-			} else {
-				s.Mem.Write32(a, uint32(s.r[rt]))
-			}
+			s.Mem.Store(a, width, s.r[rt])
 			s.instCount++
 			return a
 		}
 		return func(s *Sim) error { store(s); return nil },
 			func(s *Sim) error { s.MemObserver(pc, store(s), false, false); return nil }
-	case isa.SFD:
-		if !rt.IsFP() {
-			return nil, nil
-		}
-		store := func(s *Sim) uint32 {
-			a := uint32(s.r[rs]) + uimm
-			s.Mem.Write64(a, s.r[rt])
-			s.instCount++
-			return a
-		}
-		return func(s *Sim) error { store(s); return nil },
-			func(s *Sim) error { s.MemObserver(pc, store(s), false, false); return nil }
-	case isa.PREF:
-		// No architectural effect: the plain translation only counts.
-		return func(s *Sim) error { s.instCount++; return nil },
-			func(s *Sim) error {
-				a := uint32(s.r[rs]) + uimm
-				s.instCount++
-				s.MemObserver(pc, a, false, true)
-				return nil
-			}
 	}
-	return nil, nil
+	// PREF has no architectural effect: the plain translation only
+	// counts.
+	return func(s *Sim) error { s.instCount++; return nil },
+		func(s *Sim) error {
+			a := uint32(s.r[rs]) + uimm
+			s.instCount++
+			s.MemObserver(pc, a, false, true)
+			return nil
+		}
 }
 
 // genJump translates the block-terminating unconditional control
-// transfers.
+// transfers. A linking jump writes isa.Link(pc) to its destination.
 func genJump(in isa.Inst, pc int) cop {
-	rd, rs := in.Rd, in.Rs
+	rd, rs := isa.R0, in.Rs
+	if in.Op.Links() {
+		if rd = in.Dest(); !rd.IsInt() {
+			return nil
+		}
+	}
 	target := in.Target()
-	link := uint64(pc + 1)
-	switch in.Op {
-	case isa.J:
-		return func(s *Sim) error { s.instCount++; s.pc = target; return nil }
-	case isa.JAL:
-		return func(s *Sim) error {
-			s.r[isa.RA] = link
-			s.instCount++
-			s.pc = target
-			return nil
-		}
-	case isa.JR:
+	link := isa.Link(pc)
+	if in.Op.IsIndirect() {
 		if !rs.IsInt() {
-			return nil
-		}
-		return func(s *Sim) error {
-			t := s.r[rs]
-			s.instCount++
-			s.pc = int(t)
-			return nil
-		}
-	case isa.JALR:
-		if !rs.IsInt() || !rd.IsInt() {
 			return nil
 		}
 		return func(s *Sim) error {
@@ -343,5 +294,12 @@ func genJump(in isa.Inst, pc int) cop {
 			return nil
 		}
 	}
-	return nil
+	return func(s *Sim) error {
+		if rd != isa.R0 {
+			s.r[rd] = link
+		}
+		s.instCount++
+		s.pc = target
+		return nil
+	}
 }

@@ -360,75 +360,33 @@ func (s *Sim) Step() error {
 	case isa.HALT:
 		s.halted = true
 
-	case isa.LW, isa.LBU, isa.LFD:
+	case isa.LW, isa.LBU, isa.LFD, isa.SW, isa.SB, isa.SFD, isa.PREF:
 		base, err := s.get(in.Rs, false)
 		if err != nil {
 			return err
 		}
 		addr = uint32(base) + uint32(in.Imm)
-		isMem, isLoad = true, true
-		switch in.Op {
-		case isa.LW:
-			err = s.set(in.Rd, false, uint64(s.Mem.Read32(addr)))
-		case isa.LBU:
-			err = s.set(in.Rd, false, uint64(s.Mem.Read8(addr)))
-		case isa.LFD:
-			err = s.set(in.Rd, true, s.Mem.Read64(addr))
-		}
+		isMem, isLoad = true, in.Op.IsLoad()
+		width, fp := in.Op.MemWidth(), in.Op.IsFP()
+		switch {
+		case isLoad:
+			err = s.set(in.Rd, fp, s.Mem.Load(addr, width))
+		case in.Op.IsStore():
+			var v uint64
+			if v, err = s.get(in.Rt, fp); err == nil {
+				s.Mem.Store(addr, width, v)
+			}
+		} // PREF has no architectural effect.
 		if err != nil {
 			return err
 		}
 
-	case isa.SW, isa.SB, isa.SFD:
-		base, err := s.get(in.Rs, false)
-		if err != nil {
-			return err
-		}
-		addr = uint32(base) + uint32(in.Imm)
-		isMem = true
-		v, err := s.get(in.Rt, in.Op == isa.SFD)
-		if err != nil {
-			return err
-		}
-		switch in.Op {
-		case isa.SW:
-			s.Mem.Write32(addr, uint32(v))
-		case isa.SB:
-			s.Mem.Write8(addr, byte(v))
-		case isa.SFD:
-			s.Mem.Write64(addr, v)
-		}
-
-	case isa.PREF:
-		base, err := s.get(in.Rs, false)
-		if err != nil {
-			return err
-		}
-		isMem, addr = true, uint32(base)+uint32(in.Imm)
-		// No architectural effect.
-
-	case isa.J:
+	case isa.J, isa.JAL:
 		taken = true
 		next = in.Target()
-	case isa.JAL:
-		taken = true
-		if err := s.set(isa.RA, false, uint64(s.pc+1)); err != nil {
-			return err
-		}
-		next = in.Target()
-	case isa.JR:
+	case isa.JR, isa.JALR:
 		t, err := s.get(in.Rs, false)
 		if err != nil {
-			return err
-		}
-		taken = true
-		next = int(t)
-	case isa.JALR:
-		t, err := s.get(in.Rs, false)
-		if err != nil {
-			return err
-		}
-		if err := s.set(in.Rd, false, uint64(s.pc+1)); err != nil {
 			return err
 		}
 		taken = true
@@ -506,6 +464,12 @@ func (s *Sim) Step() error {
 				next = in.Target()
 			}
 		} else if err := s.set(in.Rd, sem.FPDst, v); err != nil {
+			return err
+		}
+	}
+
+	if in.Op.Links() {
+		if err := s.set(in.Dest(), false, isa.Link(pc)); err != nil {
 			return err
 		}
 	}

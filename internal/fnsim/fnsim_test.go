@@ -90,10 +90,10 @@ main:   la   $r2, tab
 	if got := s.IntReg(isa.R3); got != 20 {
 		t.Errorf("lw = %d", got)
 	}
-	if got := s.Mem.Read32(isa.DataBase + 12); got != 20 {
+	if got := s.Mem.Load(isa.DataBase+12, 4); got != 20 {
 		t.Errorf("sw = %d", got)
 	}
-	if got := s.Mem.Read8(isa.DataBase + 16); got != 20 {
+	if got := s.Mem.Load(isa.DataBase+16, 1); got != 20 {
 		t.Errorf("sb = %d", got)
 	}
 	if got := s.IntReg(isa.R5); got != 0xAB {
@@ -142,7 +142,7 @@ main:   la    $r2, vals
 	if got := s.IntReg(isa.R7); got != 3 {
 		t.Errorf("cvt.w.d = %d", got)
 	}
-	if got := s.Mem.ReadFloat64(isa.DataBase + 16); got != 4.0 {
+	if got := math.Float64frombits(s.Mem.Load(isa.DataBase+16, 8)); got != 4.0 {
 		t.Errorf("s.d = %v", got)
 	}
 	if out := s.Output(); out[len(out)-1] != "4" {
@@ -204,6 +204,46 @@ target: out  $r6
 `)
 	if got := s.Output(); got[0] != "2" {
 		t.Errorf("jalr link = %v, want 2", got)
+	}
+}
+
+// snanBits is a signalling NaN: an FP value moved as a float64 could
+// be quieted, so every load and store must keep its bits.
+const snanBits = 0x7FF0000000000001
+
+// TestSignallingNaNRoundTrip moves a signalling NaN through l.d, s.d,
+// l.d and s.d on the interpreter and on the compiled blocks.
+func TestSignallingNaNRoundTrip(t *testing.T) {
+	p := mustAssemble(t, "snan", `
+        .data
+x:      .word 1, 0x7FF00000
+        .space 16
+        .text
+main:   la   $r2, x
+        l.d  $f1, 0($r2)
+        s.d  $f1, 8($r2)
+        l.d  $f2, 8($r2)
+        s.d  $f2, 16($r2)
+        j    done
+done:   halt
+`)
+	for _, noCompile := range []bool{true, false} {
+		s := New(p)
+		s.NoCompile = noCompile
+		if err := s.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		if !noCompile && (s.code == nil || s.code.blocks[s.code.blockOf[p.Entry]].interp) {
+			t.Fatal("the loads and stores did not run compiled")
+		}
+		for _, off := range []uint32{8, 16} {
+			if got := s.Mem.Load(isa.DataBase+off, 8); got != snanBits {
+				t.Errorf("noCompile=%v: x+%d = %#x, want %#x", noCompile, off, got, uint64(snanBits))
+			}
+		}
+		if got := s.r[isa.F(2)]; got != snanBits {
+			t.Errorf("noCompile=%v: $f2 = %#x, want %#x", noCompile, got, uint64(snanBits))
+		}
 	}
 }
 

@@ -40,7 +40,8 @@ const (
 	LUI
 
 	// Memory. Loads: rd <- mem[rs+imm]; stores: mem[rs+imm] <- rt.
-	LW  // load 32-bit word, sign-preserving
+	// Each accesses MemWidth bytes (see sem.go).
+	LW  // load 32-bit word
 	LBU // load byte, zero-extended
 	SW  // store 32-bit word
 	SB  // store low byte
@@ -157,8 +158,10 @@ type opInfo struct {
 	indir   bool // target comes from a register (JR/JALR) or queue (JCQ)
 	readsRs bool
 	readsRt bool
-	writes  bool // writes Rd
-	fp      bool // operates on FP register file
+	writes  bool  // writes Rd
+	fp      bool  // operates on FP register file
+	width   uint8 // bytes a memory op accesses (see MemWidth)
+	link    bool  // writes the return index to its destination (see Link)
 }
 
 var opTable = [numOps]opInfo{
@@ -190,12 +193,12 @@ var opTable = [numOps]opInfo{
 	LI:  {name: "li", class: ClassIntALU, format: FmtRI, writes: true},
 	LUI: {name: "lui", class: ClassIntALU, format: FmtRI, writes: true},
 
-	LW:  {name: "lw", class: ClassLoad, format: FmtMemL, load: true, readsRs: true, writes: true},
-	LBU: {name: "lbu", class: ClassLoad, format: FmtMemL, load: true, readsRs: true, writes: true},
-	SW:  {name: "sw", class: ClassStore, format: FmtMemS, store: true, readsRs: true, readsRt: true},
-	SB:  {name: "sb", class: ClassStore, format: FmtMemS, store: true, readsRs: true, readsRt: true},
-	LFD: {name: "l.d", class: ClassLoad, format: FmtMemL, load: true, readsRs: true, writes: true, fp: true},
-	SFD: {name: "s.d", class: ClassStore, format: FmtMemS, store: true, readsRs: true, readsRt: true, fp: true},
+	LW:  {name: "lw", class: ClassLoad, format: FmtMemL, load: true, width: 4, readsRs: true, writes: true},
+	LBU: {name: "lbu", class: ClassLoad, format: FmtMemL, load: true, width: 1, readsRs: true, writes: true},
+	SW:  {name: "sw", class: ClassStore, format: FmtMemS, store: true, width: 4, readsRs: true, readsRt: true},
+	SB:  {name: "sb", class: ClassStore, format: FmtMemS, store: true, width: 1, readsRs: true, readsRt: true},
+	LFD: {name: "l.d", class: ClassLoad, format: FmtMemL, load: true, width: 8, readsRs: true, writes: true, fp: true},
+	SFD: {name: "s.d", class: ClassStore, format: FmtMemS, store: true, width: 8, readsRs: true, readsRt: true, fp: true},
 
 	FADD: {name: "add.d", class: ClassFPAdd, format: FmtR3, readsRs: true, readsRt: true, writes: true, fp: true},
 	FSUB: {name: "sub.d", class: ClassFPAdd, format: FmtR3, readsRs: true, readsRt: true, writes: true, fp: true},
@@ -219,9 +222,9 @@ var opTable = [numOps]opInfo{
 	BLTZ: {name: "bltz", class: ClassBranch, format: FmtB1, branch: true, readsRs: true},
 	BGEZ: {name: "bgez", class: ClassBranch, format: FmtB1, branch: true, readsRs: true},
 	J:    {name: "j", class: ClassBranch, format: FmtB0, jump: true},
-	JAL:  {name: "jal", class: ClassBranch, format: FmtB0, jump: true, writes: true},
+	JAL:  {name: "jal", class: ClassBranch, format: FmtB0, jump: true, writes: true, link: true},
 	JR:   {name: "jr", class: ClassBranch, format: FmtR1, jump: true, indir: true, readsRs: true},
-	JALR: {name: "jalr", class: ClassBranch, format: FmtR2, jump: true, indir: true, readsRs: true, writes: true},
+	JALR: {name: "jalr", class: ClassBranch, format: FmtR2, jump: true, indir: true, readsRs: true, writes: true, link: true},
 
 	BCQ: {name: "bcq", class: ClassBranch, format: FmtB0, branch: true},
 	JCQ: {name: "jcq", class: ClassBranch, format: FmtNone, jump: true, indir: true},
@@ -229,7 +232,7 @@ var opTable = [numOps]opInfo{
 	GETSCQ: {name: "getscq", class: ClassQueue, format: FmtI},
 	PUTSCQ: {name: "putscq", class: ClassQueue, format: FmtI},
 
-	PREF: {name: "pref", class: ClassLoad, format: FmtMemL, readsRs: true},
+	PREF: {name: "pref", class: ClassLoad, format: FmtMemL, readsRs: true, width: 4},
 
 	OUT:  {name: "out", class: ClassQueue, format: FmtR1, readsRs: true},
 	OUTF: {name: "out.d", class: ClassQueue, format: FmtR1, readsRs: true, fp: true},

@@ -116,9 +116,6 @@ func (r Reg) InFile(fp bool) bool {
 	return r.IsInt()
 }
 
-// FPIndex returns the register's index in the FP register file.
-func (r Reg) FPIndex() int { return int(r - F0) }
-
 // String returns the assembler spelling of the register.
 func (r Reg) String() string {
 	switch {
@@ -133,7 +130,7 @@ func (r Reg) String() string {
 		}
 		return fmt.Sprintf("$r%d", int(r))
 	case r.IsFP():
-		return fmt.Sprintf("$f%d", r.FPIndex())
+		return fmt.Sprintf("$f%d", int(r-F0))
 	case r == RegLDQ:
 		return "$LDQ"
 	case r == RegSDQ:

@@ -29,8 +29,8 @@ type Sem struct {
 func (s Sem) Faults(b uint64) bool { return s.Fault != "" && uint32(b) == 0 }
 
 // Semantics returns op's entry. ok is false for the ops whose effect is
-// not a computed value: memory, queue and unconditional control
-// operations, NOP and HALT.
+// not a computed value: memory operations (see MemWidth), queue and
+// unconditional control operations (see Links), NOP and HALT.
 func (o Op) Semantics() (s Sem, ok bool) {
 	if int(o) >= len(semTable) {
 		return Sem{}, false
@@ -45,6 +45,22 @@ func (o Op) ImmOperand() bool {
 	f := o.Format()
 	return f == FmtR2I || f == FmtRI
 }
+
+// MemWidth returns the number of bytes a load or store accesses: 1, 4
+// or 8, little-endian. A load zero-extends them into register bits (an
+// FP load's 8 bytes are IEEE-754 bits); a store writes the low
+// MemWidth bytes of its register bits. PREF moves no data; its 4 bytes
+// are the span the core orders it by against older stores. Every other
+// op returns 0.
+func (o Op) MemWidth() uint32 { return uint32(opTable[o].width) }
+
+// Links reports whether o is a linking jump (JAL, JALR): it writes
+// Link(pc) to its destination.
+func (o Op) Links() bool { return opTable[o].link }
+
+// Link is the value a linking jump at pc writes: the index of the
+// instruction after it, as register bits.
+func Link(pc int) uint64 { return uint64(uint32(pc + 1)) }
 
 var semTable = [numOps]Sem{
 	ADD:  {Fn: add},

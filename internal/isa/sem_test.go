@@ -3,6 +3,8 @@ package isa
 import (
 	"math"
 	"testing"
+
+	"hidisc/internal/mem"
 )
 
 // The golden semantics vectors. Every executor (the functional
@@ -183,25 +185,70 @@ func TestSemanticsGoldenVectors(t *testing.T) {
 			t.Errorf("%v(%#x, %#x) = %#x, want %#x", c.op, c.a, c.b, got, c.want)
 		}
 	}
+
+	// Memory: a store op writes v at addr through its table width, a
+	// load op reads it back through its own. Every executor moves data
+	// through mem.Load and mem.Store with these widths.
+	const page = 4096 // mem's page size
+	memCases := []struct {
+		store, load Op
+		addr        uint32
+		v, want     uint64
+	}{
+		{SW, LBU, 0x100, 0xFF, 0xFF},                                 // LBU zero-extends: 0xFF, not -1
+		{SB, LW, 0x100, 0x1FF, 0xFF},                                 // SB stores the low byte only
+		{SW, LW, page - 2, 0x11223344, 0x11223344},                   // a word across a page boundary
+		{SFD, LFD, page - 4, 0x0102030405060708, 0x0102030405060708}, // a double across one
+		{SFD, LW, page - 4, 0x0102030405060708, 0x05060708},
+		{SFD, LFD, 0x200, 0x7FF0000000000001, 0x7FF0000000000001}, // a signalling NaN keeps its payload
+		{SW, LFD, 0x300, 0xFFFFFFFF_FFFFFFFF, 0xFFFFFFFF},         // SW stores the low word
+	}
+	for _, c := range memCases {
+		m := mem.NewMemory()
+		m.Store(c.addr, c.store.MemWidth(), c.v)
+		if got := m.Load(c.addr, c.load.MemWidth()); got != c.want {
+			t.Errorf("%v %#x at %#x, then %v: %#x, want %#x", c.store, c.v, c.addr, c.load, got, c.want)
+		}
+	}
+	if got := Link(41); got != 42 {
+		t.Errorf("Link(41) = %d, want 42", got)
+	}
 }
 
-// TestSemanticsCoverage requires every op to have a table entry or to
-// be declared an op whose effect is not a computed value.
+// TestSemanticsCoverage requires every op to have a table entry, a
+// memory width or a link flag, or to be declared an op whose effect is
+// none of these.
 func TestSemanticsCoverage(t *testing.T) {
-	notComputed := map[Op]string{
-		NOP: "control", HALT: "control",
-		LW: "memory", LBU: "memory", SW: "memory", SB: "memory", LFD: "memory", SFD: "memory", PREF: "memory",
-		J: "control", JAL: "control", JR: "control", JALR: "control",
-		BCQ: "queue", JCQ: "queue", GETSCQ: "queue", PUTSCQ: "queue", OUT: "queue", OUTF: "queue",
+	declared := map[Op]string{
+		NOP: "control", HALT: "control", J: "control", JR: "control",
+		PREF: "prefetch",
+		BCQ:  "queue", JCQ: "queue", GETSCQ: "queue", PUTSCQ: "queue",
+		OUT: "output", OUTF: "output",
 	}
 	for op := Op(0); op < numOps; op++ {
 		s, ok := op.Semantics()
-		kind, declared := notComputed[op]
+		memOp := op.IsLoad() || op.IsStore()
+		kind, isDeclared := declared[op]
+		if memOp {
+			if w := op.MemWidth(); w != 1 && w != 4 && w != 8 || (w == 8) != op.IsFP() {
+				t.Errorf("%v: width %d; a load or store accesses 1 or 4 bytes, or 8 for FP", op, w)
+			}
+		} else if w := op.MemWidth(); w != 0 && op != PREF {
+			t.Errorf("%v: width %d on an op that is not a load or store", op, w)
+		}
+		if op.Links() != (op == JAL || op == JALR) {
+			t.Errorf("%v: link flag %v; only JAL and JALR link", op, op.Links())
+		}
+		if op.Links() && !op.WritesRd() {
+			t.Errorf("%v links but writes no register", op)
+		}
 		switch {
-		case ok && declared:
-			t.Errorf("%v has an entry but is declared %s", op, kind)
-		case !ok && !declared:
-			t.Errorf("%v has no semantics entry and is not declared memory, queue or control", op)
+		case ok && (memOp || op.Links()):
+			t.Errorf("%v has an entry and also a width or a link", op)
+		case (ok || memOp || op.Links()) && isDeclared:
+			t.Errorf("%v is described by the table but declared %s", op, kind)
+		case !ok && !memOp && !op.Links() && !isDeclared:
+			t.Errorf("%v has no semantics entry, width or link and is not declared", op)
 		case ok:
 			if s.Fn == nil {
 				t.Errorf("%v: entry without a function", op)

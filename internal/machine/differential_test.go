@@ -23,9 +23,11 @@ import (
 )
 
 // progGen emits random structured assembly: straight-line integer and
-// FP arithmetic over every computational op, word and byte loads and
-// stores into a bounded arena, counted loops (possibly nested), leaf
-// calls and data-dependent diamonds on every conditional branch.
+// FP arithmetic over every computational op, byte, word and double
+// loads and stores into a bounded arena (the doubles on 8-byte slots
+// that overlap the words and bytes), pointer chases through the arena,
+// counted loops (possibly nested), leaf calls through jal and jalr and
+// data-dependent diamonds on every conditional branch.
 // Programs always terminate and never fault (divisors are forced odd,
 // addresses are masked).
 type progGen struct {
@@ -47,21 +49,26 @@ func (g *progGen) newLabel() string {
 func (g *progGen) pick(ops ...string) string { return ops[g.rng.Intn(len(ops))] }
 
 // Register pools. r20-r23 hold loop counters (one per nesting level);
-// r9 holds the arena base; r8 an arena address; r17 a divisor;
-// r10-r15 are scratch; f1-f6 FP scratch and f10 an accumulator.
+// r9 holds the arena base; r8 an arena address; r17 a divisor; r18 a
+// jalr target and r19 a return address; r10-r15 are scratch; f1-f6 FP
+// scratch and f10 an accumulator.
 func (g *progGen) scratch() string   { return fmt.Sprintf("$r%d", 10+g.rng.Intn(6)) }
 func (g *progGen) fpScratch() string { return fmt.Sprintf("$f%d", 1+g.rng.Intn(6)) }
 
 const arenaWords = 512
 
-// addr emits code leaving a valid arena address in $r8.
-func (g *progGen) addr() {
-	g.emit("        andi $r8, %s, %d", g.scratch(), (arenaWords-1)*4)
+// addr emits code leaving a valid arena address in $r8: a word address
+// from register src, or from a random scratch register when src is "".
+func (g *progGen) addr(src string) {
+	if src == "" {
+		src = g.scratch()
+	}
+	g.emit("        andi $r8, %s, %d", src, (arenaWords-1)*4)
 	g.emit("        add  $r8, $r9, $r8")
 }
 
 func (g *progGen) stmt() {
-	switch g.rng.Intn(14) {
+	switch g.rng.Intn(17) {
 	case 0, 1: // integer ALU, three-register form
 		op := g.pick("add", "sub", "xor", "and", "or", "nor", "slt", "sltu", "sll", "srl", "sra")
 		g.emit("        %s %s, %s, %s", op, g.scratch(), g.scratch(), g.scratch())
@@ -78,21 +85,21 @@ func (g *progGen) stmt() {
 			g.emit("        lui %s, %d", g.scratch(), g.rng.Intn(1<<16))
 		}
 	case 4: // load, word or byte
-		g.addr()
+		g.addr("")
 		if g.rng.Intn(2) == 0 {
 			g.emit("        lw   %s, 0($r8)", g.scratch())
 		} else {
 			g.emit("        lbu  %s, %d($r8)", g.scratch(), g.rng.Intn(4))
 		}
 	case 5: // store (value may be compute-stream produced), word or byte
-		g.addr()
+		g.addr("")
 		if g.rng.Intn(2) == 0 {
 			g.emit("        sw   %s, 0($r8)", g.scratch())
 		} else {
 			g.emit("        sb   %s, %d($r8)", g.scratch(), g.rng.Intn(4))
 		}
 	case 6: // FP chain fed from memory
-		g.addr()
+		g.addr("")
 		f1, f2 := g.fpScratch(), g.fpScratch()
 		g.emit("        lw   $r10, 0($r8)")
 		g.emit("        andi $r10, $r10, 1023")
@@ -115,7 +122,7 @@ func (g *progGen) stmt() {
 		g.emit("        addi %s, %s, 5", g.scratch(), g.scratch())
 		g.emit("%s:", join)
 	case 8: // read-modify-write
-		g.addr()
+		g.addr("")
 		g.emit("        lw   $r11, 0($r8)")
 		g.emit("        xor  $r11, $r11, %s", g.scratch())
 		g.emit("        sw   $r11, 0($r8)")
@@ -143,6 +150,29 @@ func (g *progGen) stmt() {
 		g.emit("        %s %s, %s, %s", g.pick("c.lt.d", "c.le.d", "c.eq.d"), g.scratch(), g.fpScratch(), g.fpScratch())
 	case 13: // integer to FP
 		g.emit("        cvt.d.w %s, %s", g.fpScratch(), g.scratch())
+	case 14: // double load or store on an 8-byte slot over the words
+		g.emit("        andi $r8, %s, %d", g.scratch(), (arenaWords/2-1)*8)
+		g.emit("        add  $r8, $r9, $r8")
+		switch g.rng.Intn(4) {
+		case 0:
+			g.emit("        l.d  %s, 0($r8)", g.fpScratch())
+		case 1:
+			g.emit("        s.d  %s, 0($r8)", g.fpScratch())
+		case 2: // forwards at width 8
+			g.emit("        s.d  %s, 0($r8)", g.fpScratch())
+			g.emit("        l.d  %s, 0($r8)", g.fpScratch())
+		default: // a word or byte inside the double just stored
+			g.emit("        s.d  %s, 0($r8)", g.fpScratch())
+			g.emit("        %s  %s, %d($r8)", g.pick("lw", "lbu"), g.scratch(), 4*g.rng.Intn(2))
+		}
+	case 15: // leaf call through jalr, linking in $r19
+		g.emit("        jal  get3")
+		g.emit("        jalr $r19, $r18")
+	case 16: // pointer chase: an arena word, masked to the arena, is the next address
+		g.addr("")
+		g.emit("        lw   $r8, 0($r8)")
+		g.addr("$r8")
+		g.emit("        %s  %s, 0($r8)", g.pick("lw", "lbu"), g.scratch())
 	}
 }
 
@@ -197,6 +227,18 @@ func generateProgram(seed int64) string {
 	g.emit("        lw   $r13, 0($r8)")
 	g.emit("        xor  $r13, $r13, $r15")
 	g.emit("        jr   $ra")
+	// get3 leaves helper3's address in $r18 for a jalr. The address is
+	// a jal's link, not a la of the label: separation renumbers each
+	// stream's instructions, and a link is in the stream's own numbers.
+	g.emit("get3:   or   $r19, $ra, $r0")
+	g.emit("        jal  get3b")
+	g.emit("helper3: andi $r8, $r15, %d", (arenaWords/2-1)*8)
+	g.emit("        add  $r8, $r9, $r8")
+	g.emit("        l.d  $f6, 0($r8)")
+	g.emit("        xor  $r15, $r15, $r13")
+	g.emit("        jr   $r19")
+	g.emit("get3b:  or   $r18, $ra, $r0")
+	g.emit("        jr   $r19")
 	return g.sb.String()
 }
 
@@ -225,7 +267,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 // the generator makes from each fuzzed seed. The corpus holds the seeds
 // whose programs diverged while branch thinning still dropped calls:
 // wrong output (201), a deadlock (387, 448) and a wrong memory image
-// (434).
+// (434). Those were the programs of the generator before it emitted
+// doubles, jalr and pointer chases; the same seeds now name other
+// programs.
 func FuzzDifferentialPrograms(f *testing.F) {
 	for _, seed := range []int64{1, 201, 387, 434, 448} {
 		f.Add(seed)

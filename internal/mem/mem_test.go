@@ -32,36 +32,95 @@ func TestNewCacheRejectsBadGeometry(t *testing.T) {
 
 func TestMemoryReadWriteRoundTrip(t *testing.T) {
 	m := NewMemory()
-	m.Write32(0x1000_0000, 0xDEADBEEF)
-	if got := m.Read32(0x1000_0000); got != 0xDEADBEEF {
-		t.Errorf("Read32 = %#x", got)
+	m.Store(0x1000_0000, 4, 0xDEADBEEF)
+	if got := m.Load(0x1000_0000, 4); got != 0xDEADBEEF {
+		t.Errorf("word = %#x", got)
 	}
-	if got := m.Read8(0x1000_0000); got != 0xEF {
+	if got := m.Load(0x1000_0000, 1); got != 0xEF {
 		t.Errorf("little-endian byte 0 = %#x, want 0xEF", got)
 	}
-	m.Write64(0x2000, 0x0123456789ABCDEF)
-	if got := m.Read64(0x2000); got != 0x0123456789ABCDEF {
-		t.Errorf("Read64 = %#x", got)
+	m.Store(0x2000, 8, 0x0123456789ABCDEF)
+	if got := m.Load(0x2000, 8); got != 0x0123456789ABCDEF {
+		t.Errorf("double = %#x", got)
 	}
-	m.WriteFloat64(0x3000, -2.5)
-	if got := m.ReadFloat64(0x3000); got != -2.5 {
-		t.Errorf("ReadFloat64 = %v", got)
+	m.Store(0x3000, 8, math.Float64bits(-2.5))
+	if got := math.Float64frombits(m.Load(0x3000, 8)); got != -2.5 {
+		t.Errorf("float = %v", got)
 	}
-	if got := m.Read32(0x9999_0000); got != 0 {
+	if got := m.Load(0x9999_0000, 4); got != 0 {
 		t.Errorf("untouched memory = %#x, want 0", got)
+	}
+}
+
+// TestMemoryWidths pins the width rules every load and store runs
+// through: a load zero-extends, a store writes only its low bytes.
+func TestMemoryWidths(t *testing.T) {
+	m := NewMemory()
+	m.Store(0x100, 4, 0xAAAAAAAA)
+	m.Store(0x101, 1, 0xFF)
+	if got := m.Load(0x101, 1); got != 0xFF {
+		t.Errorf("byte 0xFF loads as %#x, want 0xFF (zero-extended)", got)
+	}
+	m.Store(0x102, 1, 0x1FF)
+	if got := m.Load(0x100, 4); got != 0xAAFFFFAA {
+		t.Errorf("byte stores of 0xFF and 0x1FF leave word %#x, want 0xAAFFFFAA", got)
+	}
+	m.Store(0x200, 8, 0x8000000000000001)
+	m.Store(0x200, 4, 0x1_0000_0002) // the high half of v is not stored
+	if got := m.Load(0x200, 8); got != 0x8000000000000002 {
+		t.Errorf("word store into a double leaves %#x, want 0x8000000000000002", got)
+	}
+	if got := m.Load(0x204, 4); got != 0x80000000 {
+		t.Errorf("high word = %#x, want 0x80000000 (zero-extended)", got)
+	}
+	for _, c := range []struct {
+		v     uint64
+		width uint32
+		want  uint64
+	}{
+		{0x1FF, 1, 0xFF},
+		{0xFFFF_FFFF_8000_0000, 4, 0x8000_0000},
+		{0x7FF0000000000001, 8, 0x7FF0000000000001},
+	} {
+		if got := Trunc(c.v, c.width); got != c.want {
+			t.Errorf("Trunc(%#x, %d) = %#x, want %#x", c.v, c.width, got, c.want)
+		}
+		m.Store(0x300, c.width, c.v)
+		if got := m.Load(0x300, c.width); got != c.want {
+			t.Errorf("Store/Load(%#x, %d) = %#x, want %#x", c.v, c.width, got, c.want)
+		}
 	}
 }
 
 func TestMemoryCrossPageAccess(t *testing.T) {
 	m := NewMemory()
 	addr := uint32(pageSize - 2) // straddles the first page boundary
-	m.Write32(addr, 0x11223344)
-	if got := m.Read32(addr); got != 0x11223344 {
-		t.Errorf("cross-page Read32 = %#x", got)
+	m.Store(addr, 4, 0x11223344)
+	if got := m.Load(addr, 4); got != 0x11223344 {
+		t.Errorf("cross-page word = %#x", got)
 	}
-	m.Write64(addr, 0xAABBCCDDEEFF0011)
-	if got := m.Read64(addr); got != 0xAABBCCDDEEFF0011 {
-		t.Errorf("cross-page Read64 = %#x", got)
+	if got := m.Load(pageSize, 1); got != 0x22 {
+		t.Errorf("byte after the boundary = %#x, want 0x22", got)
+	}
+	m.Store(addr, 8, 0xAABBCCDDEEFF0011)
+	if got := m.Load(addr, 8); got != 0xAABBCCDDEEFF0011 {
+		t.Errorf("cross-page double = %#x", got)
+	}
+	// A double at pageSize-4 splits into two words, one on each page.
+	addr = 2*pageSize - 4
+	m.Store(addr, 8, 0x0102030405060708)
+	if got := m.Load(addr, 8); got != 0x0102030405060708 {
+		t.Errorf("double at a page's last word = %#x", got)
+	}
+	if lo, hi := m.Load(addr, 4), m.Load(2*pageSize, 4); lo != 0x05060708 || hi != 0x01020304 {
+		t.Errorf("halves %#x, %#x; want 0x05060708, 0x01020304", lo, hi)
+	}
+	// Crossing into an untouched page reads its bytes as 0.
+	n := NewMemory()
+	n.Store(pageSize-2, 1, 0xAB)
+	n.Store(pageSize-1, 1, 0xCD)
+	if got := n.Load(pageSize-2, 4); got != 0xCDAB {
+		t.Errorf("word into an untouched page = %#x, want 0xCDAB", got)
 	}
 }
 
@@ -97,11 +156,11 @@ func TestLoadSegmentMatchesByteLoop(t *testing.T) {
 			}
 			want, got := NewMemory(), NewMemory()
 			for _, m := range []*Memory{want, got} {
-				m.Write32(base-8, 0xdeadbeef) // neighbours outside the segment survive
-				m.Write32(base+uint32(n)+4, 0xfeedface)
+				m.Store(base-8, 4, 0xdeadbeef) // neighbours outside the segment survive
+				m.Store(base+uint32(n)+4, 4, 0xfeedface)
 			}
 			for i, b := range data {
-				want.Write8(base+uint32(i), b)
+				want.Store(base+uint32(i), 1, uint64(b))
 			}
 			got.LoadSegment(base, data)
 			if len(got.pages) != len(want.pages) {
@@ -122,20 +181,20 @@ func TestLoadSegmentMatchesByteLoop(t *testing.T) {
 func TestChecksumEquivalence(t *testing.T) {
 	a, b := NewMemory(), NewMemory()
 	// Same logical contents, written in different orders.
-	a.Write32(0x1000, 42)
-	a.Write32(0x8000_0000, 7)
-	b.Write32(0x8000_0000, 7)
-	b.Write32(0x1000, 42)
+	a.Store(0x1000, 4, 42)
+	a.Store(0x8000_0000, 4, 7)
+	b.Store(0x8000_0000, 4, 7)
+	b.Store(0x1000, 4, 42)
 	if a.Checksum() != b.Checksum() {
 		t.Error("checksums differ for identical contents")
 	}
 	// Allocated-but-zero pages hash like untouched pages.
-	b.Write32(0x5000_0000, 1)
-	b.Write32(0x5000_0000, 0)
+	b.Store(0x5000_0000, 4, 1)
+	b.Store(0x5000_0000, 4, 0)
 	if a.Checksum() != b.Checksum() {
 		t.Error("zeroed page changed checksum")
 	}
-	b.Write32(0x1000, 43)
+	b.Store(0x1000, 4, 43)
 	if a.Checksum() == b.Checksum() {
 		t.Error("checksums equal for different contents")
 	}
@@ -143,10 +202,10 @@ func TestChecksumEquivalence(t *testing.T) {
 
 func TestMemoryClone(t *testing.T) {
 	a := NewMemory()
-	a.Write32(0x1000, 1)
+	a.Store(0x1000, 4, 1)
 	b := a.Clone()
-	b.Write32(0x1000, 2)
-	if a.Read32(0x1000) != 1 {
+	b.Store(0x1000, 4, 2)
+	if a.Load(0x1000, 4) != 1 {
 		t.Error("Clone shares pages")
 	}
 }
@@ -513,8 +572,8 @@ func TestHierarchyPresent(t *testing.T) {
 func TestFloatBitsStability(t *testing.T) {
 	m := NewMemory()
 	for _, v := range []float64{0, 1, -1, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64} {
-		m.WriteFloat64(0x100, v)
-		if got := m.ReadFloat64(0x100); got != v {
+		m.Store(0x100, 8, math.Float64bits(v))
+		if got := math.Float64frombits(m.Load(0x100, 8)); got != v {
 			t.Errorf("float round trip: got %v, want %v", got, v)
 		}
 	}

@@ -10,9 +10,9 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 )
 
@@ -55,71 +55,59 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 	return p
 }
 
-// Read8 returns the byte at addr (0 for untouched memory).
-func (m *Memory) Read8(addr uint32) byte {
-	if p := m.page(addr, false); p != nil {
-		return p[addr&pageMask]
-	}
-	return 0
-}
-
-// Write8 stores one byte.
-func (m *Memory) Write8(addr uint32, v byte) {
-	m.page(addr, true)[addr&pageMask] = v
-}
-
-// Read32 loads a little-endian 32-bit word.
-func (m *Memory) Read32(addr uint32) uint32 {
-	// Fast path within one page.
-	if addr&pageMask <= pageSize-4 {
-		if p := m.page(addr, false); p != nil {
-			o := addr & pageMask
-			return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+// Load returns the width bytes at addr (1, 4 or 8), little-endian and
+// zero-extended; untouched memory reads 0. An access inside one page
+// costs one page lookup; one that crosses a page goes byte by byte.
+func (m *Memory) Load(addr, width uint32) uint64 {
+	if o := addr & pageMask; o <= pageSize-width {
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
 		}
-		return 0
+		switch width {
+		case 1:
+			return uint64(p[o])
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(p[o:]))
+		case 8:
+			return binary.LittleEndian.Uint64(p[o:])
+		}
 	}
-	var v uint32
-	for i := uint32(0); i < 4; i++ {
-		v |= uint32(m.Read8(addr+i)) << (8 * i)
+	var v uint64
+	for i := uint32(0); i < width; i++ {
+		if p := m.page(addr+i, false); p != nil {
+			v |= uint64(p[(addr+i)&pageMask]) << (8 * i)
+		}
 	}
 	return v
 }
 
-// Write32 stores a little-endian 32-bit word.
-func (m *Memory) Write32(addr uint32, v uint32) {
-	if addr&pageMask <= pageSize-4 {
+// Store writes the low width bytes of v (1, 4 or 8) at addr,
+// little-endian, with Load's one page lookup inside a page.
+func (m *Memory) Store(addr, width uint32, v uint64) {
+	if o := addr & pageMask; o <= pageSize-width {
 		p := m.page(addr, true)
-		o := addr & pageMask
-		p[o] = byte(v)
-		p[o+1] = byte(v >> 8)
-		p[o+2] = byte(v >> 16)
-		p[o+3] = byte(v >> 24)
-		return
+		switch width {
+		case 1:
+			p[o] = byte(v)
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(p[o:], uint32(v))
+			return
+		case 8:
+			binary.LittleEndian.PutUint64(p[o:], v)
+			return
+		}
 	}
-	for i := uint32(0); i < 4; i++ {
-		m.Write8(addr+i, byte(v>>(8*i)))
+	for i := uint32(0); i < width; i++ {
+		m.page(addr+i, true)[(addr+i)&pageMask] = byte(v >> (8 * i))
 	}
 }
 
-// Read64 loads a little-endian 64-bit word.
-func (m *Memory) Read64(addr uint32) uint64 {
-	return uint64(m.Read32(addr)) | uint64(m.Read32(addr+4))<<32
-}
-
-// Write64 stores a little-endian 64-bit word.
-func (m *Memory) Write64(addr uint32, v uint64) {
-	m.Write32(addr, uint32(v))
-	m.Write32(addr+4, uint32(v>>32))
-}
-
-// ReadFloat64 loads an IEEE-754 double.
-func (m *Memory) ReadFloat64(addr uint32) float64 {
-	return math.Float64frombits(m.Read64(addr))
-}
-
-// WriteFloat64 stores an IEEE-754 double.
-func (m *Memory) WriteFloat64(addr uint32, v float64) {
-	m.Write64(addr, math.Float64bits(v))
+// Trunc returns the low width bytes of v, zero-extended: what Load
+// reads back after Store(addr, width, v).
+func Trunc(v uint64, width uint32) uint64 {
+	return v << (64 - 8*width) >> (64 - 8*width)
 }
 
 // LoadSegment copies data into memory starting at base, a page-sized
@@ -137,7 +125,7 @@ func (m *Memory) LoadSegment(base uint32, data []byte) {
 func (m *Memory) ReadRange(addr uint32, n int) []byte {
 	out := make([]byte, n)
 	for i := range out {
-		out[i] = m.Read8(addr + uint32(i))
+		out[i] = byte(m.Load(addr+uint32(i), 1))
 	}
 	return out
 }

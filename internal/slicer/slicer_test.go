@@ -817,10 +817,9 @@ l%d:     lw   $r3, 0($r2)
 		t.Fatal(err)
 	}
 	e := cpu.NewCMP(cpu.CMPConfig{}, progs, mem.NewMemory(), h, nil)
-	var ir [isa.NumIntRegs]uint32
-	var fr [isa.NumFPRegs]float64
+	var r [isa.NumIntRegs + isa.NumFPRegs]uint64
 	for id := range progs {
-		e.Fork(id, &ir, &fr)
+		e.Fork(id, &r)
 	}
 	if st := e.Stats(); st.Forks != maxCMAS || st.ForksIgnored != 0 || e.ActiveContexts() != maxCMAS {
 		t.Errorf("after one trigger per CMAS: forks %d, ignored %d, live %d; want %d, 0, %d",

@@ -122,7 +122,9 @@ sum:    l.d  $f1, 0($r13)
 		for r := 0; r < rows; r++ {
 			acc := 0.0
 			for j := 0; j < nnzPerRow; j++ {
-				acc += x[col[k]] * val[k]
+				// float64 rounds the product before the add, as
+				// mul.d does; Go may otherwise fuse the two (arm64 does).
+				acc += float64(x[col[k]] * val[k])
 				k++
 			}
 			y[r] = acc

@@ -75,7 +75,7 @@ xloop:  li   $r6, %d
 			idx := y*size + x
 			p := int32(img[idx])
 			d1 := float64(p - int32(img[idx-dist*size]))
-			sum += d1 * d1
+			sum += float64(d1 * d1) // rounded before the add, as mul.d does: no fusion
 		}
 	}
 

@@ -145,12 +145,14 @@ nohit:  addi $r2, $r2, 32
 	}
 	for n := 0; n < rays; n++ {
 		dx, dy, dz := drawDir(), drawDir(), 64.0
-		a := (dx*dx + dy*dy) + dz*dz
+		// Each float64(x*y) rounds a product before it is added, as
+		// mul.d does; Go may otherwise fuse the two (arm64 does).
+		a := (float64(dx*dx) + float64(dy*dy)) + float64(dz*dz)
 		nearest := float64(0x7FFF)
 		for _, sp := range scene {
-			b := (dx*sp.cx + dy*sp.cy) + dz*sp.cz
-			c2 := (sp.cx*sp.cx + sp.cy*sp.cy) + sp.cz*sp.cz - sp.r*sp.r
-			disc := b*b - a*c2
+			b := (float64(dx*sp.cx) + float64(dy*sp.cy)) + float64(dz*sp.cz)
+			c2 := (float64(sp.cx*sp.cx) + float64(sp.cy*sp.cy)) + float64(sp.cz*sp.cz) - float64(sp.r*sp.r)
+			disc := float64(b*b) - float64(a*c2)
 			if disc > 0 && b > 0 {
 				hits++
 				if m := c2 / b; m < nearest {
