@@ -60,8 +60,10 @@ portable:
 # identically on the reference, the co-simulated streams and all four
 # machines, result-store recovery from byte flips and truncation must
 # yield a valid prefix or refuse, never a wrong record, the job-response parser must accept only bodies
-# that re-encode byte-identically, and the traceparent parser must
-# accept only well-formed headers that rebuild from their parts.
+# that re-encode byte-identically, the fixed-shape job-request reader
+# must agree with encoding/json on every body it accepts, and the
+# traceparent parser must accept only well-formed headers that rebuild
+# from their parts.
 # Deeper runs: drop -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAssemble -fuzztime 3s ./internal/asm
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDifferentialPrograms -fuzztime 3s ./internal/machine
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime 3s ./internal/resultstore
 	$(GO) test -run xxx -fuzz FuzzJobEnvelope -fuzztime 3s ./internal/simserver
+	$(GO) test -run xxx -fuzz FuzzJobRequest -fuzztime 3s ./internal/simserver
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 3s ./internal/tracing
 
 # One pass over every table/figure benchmark (reports simMIPS).

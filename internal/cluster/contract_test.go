@@ -145,7 +145,11 @@ func TestWireContract(t *testing.T) {
 		{name: "job unknown workload", path: "/v1/jobs", body: `{"workload":"no-such-workload","arch":"hidisc"}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "job unknown field", path: "/v1/jobs", body: `{"workload":"Pointer","arch":"hidisc","colour":"red"}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "job truncated JSON", path: "/v1/jobs", body: `{"workload":"Poin`, status: 400, kind: simserver.KindBadRequest},
+		{name: "job trailing object", path: "/v1/jobs", body: contractJob + `{"workload":"TC"}`, status: 400, kind: simserver.KindBadRequest},
+		{name: "job trailing whitespace", path: "/v1/jobs", body: contractJob + " \r\n\t", status: 200},
+		{name: "job unknown hier field", path: "/v1/jobs", body: `{"workload":"Pointer","arch":"hidisc","hier":{"l2":{"latncy":40}}}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "batch empty", path: "/v1/batch", body: `{"jobs":[]}`, status: 400, kind: simserver.KindBadRequest},
+		{name: "batch trailing data", path: "/v1/batch", body: `{"jobs":[` + contractJob + `]}{"jobs":[]}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "batch matrix plus jobs", path: "/v1/batch", body: `{"matrix":"fig8","jobs":[` + contractJob + `]}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "batch per-job bad scale", path: "/v1/batch", body: `{"jobs":[{"workload":"Pointer","arch":"hidisc","scale":"huge"}]}`, status: 400, kind: simserver.KindBadRequest},
 		{name: "batch over capacity", path: "/v1/batch", body: `{"jobs":[` + contractJob + `,` + contractJob + `,` + contractJob + `]}`, status: 400, kind: simserver.KindBadRequest, workers: 1, queue: 1},

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hidisc/internal/machine"
@@ -46,6 +51,45 @@ func TestJobKeyGolden(t *testing.T) {
 	const want = "58fae46b130923fdaf83489fdd355f9a6e3c531e52a80862034977b7e1f0c245"
 	if got := j.Key(); got != want {
 		t.Fatalf("canonical key drifted:\n got %s\nwant %s\nexisting result stores are now unreadable under this key scheme", got, want)
+	}
+}
+
+// TestJobKeyPreimage checks Key against the preimage written by
+// fmt, over jobs whose strings and numbers stretch the stack buffer,
+// and pins Key to one allocation.
+func TestJobKeyPreimage(t *testing.T) {
+	ref := func(j Job) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s|%s|%s|%d|%d,%d,%d,%d|%d,%d,%d,%d|%d",
+			keyVersion, j.Workload, j.Arch, j.Scale,
+			j.Hier.L1D.Sets, j.Hier.L1D.Ways, j.Hier.L1D.BlockSize, j.Hier.L1D.Latency,
+			j.Hier.L2.Sets, j.Hier.L2.Ways, j.Hier.L2.BlockSize, j.Hier.L2.Latency,
+			j.Hier.MemLatency)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	base := Job{Workload: "Pointer", Arch: machine.HiDISC, Hier: mem.DefaultHierConfig(), Scale: workloads.ScalePaper}
+	jobs := []Job{base}
+	for _, mutate := range []func(*Job){
+		func(j *Job) { j.Workload = "" },
+		func(j *Job) { j.Workload = strings.Repeat("w", 300) },
+		func(j *Job) { j.Arch = machine.Arch("é|,") },
+		func(j *Job) { j.Scale = workloads.ScaleTest },
+		func(j *Job) { j.Scale = -7 },
+		func(j *Job) { j.Hier.L1D.Sets, j.Hier.L1D.Ways = -1, math.MaxInt },
+		func(j *Job) { j.Hier.L2.BlockSize, j.Hier.L2.Latency = math.MinInt, 0 },
+		func(j *Job) { j.Hier = j.Hier.WithLatencies(40, 376) },
+	} {
+		j := base
+		mutate(&j)
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if got, want := j.Key(), ref(j); got != want {
+			t.Errorf("%.40q on %q: key %s, fmt preimage gives %s", j.Workload, j.Arch, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = base.Key() }); n != 1 {
+		t.Errorf("Key allocates %v times, want 1", n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 
 	"hidisc/internal/machine"
@@ -53,14 +54,34 @@ const keyVersion = "hidisc-job-v1"
 // The Configure hook is deliberately excluded — a hook is an opaque
 // perturbation, so jobs carrying one must never be cached by key (the
 // Runner already bypasses its memo for them).
+//
+// The preimage is
+//
+//	<keyVersion>|<workload>|<arch>|<scale>|<L1D>|<L2>|<memLatency>
+//
+// with each cache written sets,ways,blockSize,latency and every number
+// in decimal. It is built in a stack buffer, so the hex string is the
+// one allocation.
 func (j Job) Key() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d,%d,%d,%d|%d,%d,%d,%d|%d",
-		keyVersion, j.Workload, j.Arch, j.Scale,
-		j.Hier.L1D.Sets, j.Hier.L1D.Ways, j.Hier.L1D.BlockSize, j.Hier.L1D.Latency,
-		j.Hier.L2.Sets, j.Hier.L2.Ways, j.Hier.L2.BlockSize, j.Hier.L2.Latency,
-		j.Hier.MemLatency)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [160]byte
+	b := append(buf[:0], keyVersion...)
+	b = append(append(b, '|'), j.Workload...)
+	b = append(append(b, '|'), j.Arch...)
+	b = strconv.AppendInt(append(b, '|'), int64(j.Scale), 10)
+	b = appendCacheKey(append(b, '|'), j.Hier.L1D)
+	b = appendCacheKey(append(b, '|'), j.Hier.L2)
+	b = strconv.AppendInt(append(b, '|'), int64(j.Hier.MemLatency), 10)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+func appendCacheKey(b []byte, c mem.CacheConfig) []byte {
+	b = strconv.AppendInt(b, int64(c.Sets), 10)
+	b = strconv.AppendInt(append(b, ','), int64(c.Ways), 10)
+	b = strconv.AppendInt(append(b, ','), int64(c.BlockSize), 10)
+	return strconv.AppendInt(append(b, ','), int64(c.Latency), 10)
 }
 
 // EffectiveWorkers resolves a requested worker count: n > 0 is taken

@@ -119,15 +119,12 @@ func (e *APIError) Error() string {
 // RetryAfter).
 func (e *APIError) Overloaded() bool { return e.Status == http.StatusTooManyRequests }
 
-// do issues one request and decodes error responses.
-func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
+// do issues one request with a JSON body (none when body is nil) and
+// decodes error responses.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
@@ -213,16 +210,21 @@ func readBody(resp *http.Response) ([]byte, error) {
 }
 
 // Run submits one job and returns the server's response with the
-// measurement still in its canonical raw encoding: the body is read
-// once and parsed by the envelope's fixed shape
-// (simserver.ParseJobResponse), so Measurement aliases it unscanned.
+// measurement still in its canonical raw encoding. The request is
+// encoded by simserver.AppendJobRequest; the answer is read once and
+// parsed by the envelope's fixed shape (simserver.ParseJobResponse),
+// so Measurement aliases it unscanned.
 // With Retry set, the whole submission — connection, response, body —
 // is retried per the policy, so a server restart mid-request costs a
 // delay, not the job.
 func (c *Client) Run(ctx context.Context, jr simserver.JobRequest) (simserver.JobResponse, error) {
+	req, err := simserver.AppendJobRequest(make([]byte, 0, len(jr.Hier)+128), jr)
+	if err != nil {
+		return simserver.JobResponse{}, err
+	}
 	var out simserver.JobResponse
-	err := c.withRetry(ctx, func() error {
-		resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", jr)
+	err = c.withRetry(ctx, func() error {
+		resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", req)
 		if err != nil {
 			return err
 		}
@@ -250,7 +252,11 @@ func (c *Client) Run(ctx context.Context, jr simserver.JobRequest) (simserver.Jo
 // retried stream would replay items fn has already seen. Use Batch (or
 // Measurements), which absorbs replays by index, for retry semantics.
 func (c *Client) BatchStream(ctx context.Context, br simserver.BatchRequest, fn func(simserver.BatchItem) error) error {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/batch", br)
+	body, err := json.Marshal(br)
+	if err != nil {
+		return err
+	}
+	resp, err := c.do(ctx, http.MethodPost, "/v1/batch", body)
 	if err != nil {
 		return err
 	}

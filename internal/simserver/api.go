@@ -62,22 +62,32 @@ type JobRequest struct {
 	// injector. Faulted jobs bypass the cache and dedup layers: a
 	// perturbation is not part of the content key.
 	Fault *simfault.Injector `json:"fault,omitempty"`
+
+	// hier is Hier as the fixed-shape reader decoded it over the Table
+	// 1 defaults, and hierSrc the bytes it read. CanonicalJob uses hier
+	// only while Hier is still that slice, so a caller that replaces
+	// Hier gets it decoded afresh.
+	hier    mem.HierConfig
+	hierSrc []byte
+}
+
+// hierDecoded reports whether jr.hier holds jr.Hier decoded.
+func (jr *JobRequest) hierDecoded() bool {
+	return len(jr.Hier) > 0 && len(jr.hierSrc) == len(jr.Hier) && &jr.hierSrc[0] == &jr.Hier[0]
 }
 
 // CanonicalJob resolves a request into the canonical experiments.Job
-// it denotes: the hierarchy decoded over the Table 1 defaults and
-// validated, the architecture name checked, and the scale resolved
-// against def. This is the single place a JobRequest becomes
-// content-addressable — the server's execute path and the cluster
-// coordinator's ring routing both use it, so a job's Key() is
-// guaranteed to agree across the fleet. Errors are request-shaped
-// (map them to 400).
+// it denotes: the hierarchy decoded over the Table 1 defaults (unknown
+// fields refused) and validated, the architecture name checked, and
+// the scale resolved against def. This is the single place a
+// JobRequest becomes content-addressable — the server's execute path
+// and the cluster coordinator's ring routing both use it, so a job's
+// Key() is guaranteed to agree across the fleet. Errors are
+// request-shaped (map them to 400).
 func (jr JobRequest) CanonicalJob(def workloads.Scale) (experiments.Job, error) {
-	hier := mem.DefaultHierConfig()
-	if len(jr.Hier) > 0 {
-		if err := json.Unmarshal(jr.Hier, &hier); err != nil {
-			return experiments.Job{}, fmt.Errorf("hier: %w", err)
-		}
+	hier, err := jr.hierConfig()
+	if err != nil {
+		return experiments.Job{}, fmt.Errorf("hier: %w", err)
 	}
 	if err := hier.Validate(); err != nil {
 		return experiments.Job{}, err
@@ -96,6 +106,20 @@ func (jr JobRequest) CanonicalJob(def workloads.Scale) (experiments.Job, error) 
 		return experiments.Job{}, err
 	}
 	return experiments.Job{Workload: jr.Workload, Arch: jr.Arch, Hier: hier, Scale: scale}, nil
+}
+
+// hierConfig is the hierarchy jr names: Hier decoded over the Table 1
+// defaults, refusing unknown fields.
+func (jr *JobRequest) hierConfig() (mem.HierConfig, error) {
+	switch {
+	case jr.hierDecoded():
+		return jr.hier, nil
+	case len(jr.Hier) == 0:
+		return mem.DefaultHierConfig(), nil
+	}
+	hier := mem.DefaultHierConfig()
+	err := decodeJSON(jr.Hier, &hier)
+	return hier, err
 }
 
 // BatchRequest submits many jobs at once. Either Jobs or Matrix is
@@ -186,10 +210,8 @@ func ParseJobResponse(body []byte) (JobResponse, error) {
 	if end < 0 {
 		return JobResponse{}, errNotEnvelope
 	}
-	for _, c := range rest[:end] {
-		if c < 0x20 || c > 0x7e || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return JobResponse{}, errNotEnvelope
-		}
+	if !plainString(rest[:end]) {
+		return JobResponse{}, errNotEnvelope
 	}
 	r := JobResponse{Key: string(rest[:end])}
 	rest = rest[end+1:]
@@ -205,6 +227,242 @@ func ParseJobResponse(body []byte) (JobResponse, error) {
 	}
 	r.Measurement = m
 	return r, nil
+}
+
+// plainString reports whether JSON writes s as itself between quotes:
+// printable ASCII without a quote, a backslash or a character
+// json.Marshal HTML-escapes.
+func plainString[S ~string | ~[]byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// A job request in the fixed shape is
+//
+//	{"workload":"<w>","arch":"<a>"[,"hier":<h>][,"scale":"<s>"][,"timeoutMs":<n>]}
+//
+// with plain strings (see plainString), <a> one of machine.Arches as
+// spelled there, no fault, and <h> in the shape HierJSON writes:
+//
+//	{"l1d":<c>,"l2":<c>,"memLatency":<n>}
+//	<c> = {["name":"<s>",]"sets":<n>,"ways":<n>,"blockSize":<n>,"latency":<n>}
+//
+// Those are the bytes json.Marshal writes for such a request, so the
+// codec below writes them without encoding/json, and the fronts read
+// them without it. Any other request or body goes through encoding/json.
+
+// AppendJobRequest appends jr's JSON to dst: byte for byte what
+// json.Marshal writes. A request in the fixed shape is written
+// directly; any other is json.Marshal's, with its error.
+func AppendJobRequest(dst []byte, jr JobRequest) ([]byte, error) {
+	if !jr.fixedShape() {
+		data, err := json.Marshal(jr)
+		return append(dst, data...), err
+	}
+	dst = append(append(dst, `{"workload":"`...), jr.Workload...)
+	dst = append(append(dst, `","arch":"`...), jr.Arch...)
+	dst = append(dst, '"')
+	if len(jr.Hier) > 0 {
+		dst = append(append(dst, `,"hier":`...), jr.Hier...)
+	}
+	if jr.Scale != "" {
+		dst = append(append(append(dst, `,"scale":"`...), jr.Scale...), '"')
+	}
+	if jr.TimeoutMs != 0 {
+		dst = strconv.AppendInt(append(dst, `,"timeoutMs":`...), jr.TimeoutMs, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// fixedShape reports whether AppendJobRequest writes jr directly.
+func (jr *JobRequest) fixedShape() bool {
+	if _, ok := canonicalArch(jr.Arch); !ok || jr.Fault != nil || !plainString(jr.Workload) || !plainString(jr.Scale) {
+		return false
+	}
+	if len(jr.Hier) == 0 || jr.hierDecoded() {
+		return true
+	}
+	_, rest, ok := cutHier(jr.Hier)
+	return ok && len(rest) == 0
+}
+
+// decodeJobRequest decodes a /v1/jobs body: by the fixed shape when it
+// has it, else by encoding/json (decodeJSON), whose errors it returns.
+func decodeJobRequest(body []byte) (JobRequest, error) {
+	if jr, ok := parseJobRequest(body); ok {
+		return jr, nil
+	}
+	var jr JobRequest
+	err := decodeJSON(body, &jr)
+	return jr, err
+}
+
+// parseJobRequest reads body if it is exactly a fixed-shape request.
+// Hier aliases body, and the hierarchy it holds is decoded once, here.
+// An empty scale or a zero timeout written out is refused: json.Marshal
+// omits them, and refusing them keeps every accepted body the encoding
+// of what it decodes to.
+func parseJobRequest(body []byte) (JobRequest, bool) {
+	var jr JobRequest
+	rest, ok := bytes.CutPrefix(body, []byte(`{"workload":"`))
+	if !ok {
+		return JobRequest{}, false
+	}
+	if jr.Workload, rest, ok = cutString(rest); !ok {
+		return JobRequest{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"arch":"`)); !ok {
+		return JobRequest{}, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 {
+		return JobRequest{}, false
+	}
+	if jr.Arch, ok = canonicalArch(rest[:end]); !ok {
+		return JobRequest{}, false
+	}
+	rest = rest[end+1:]
+	if after, found := bytes.CutPrefix(rest, []byte(`,"hier":`)); found {
+		var tail []byte
+		if jr.hier, tail, ok = cutHier(after); !ok {
+			return JobRequest{}, false
+		}
+		jr.Hier = after[:len(after)-len(tail)]
+		jr.hierSrc = jr.Hier
+		rest = tail
+	}
+	if after, found := bytes.CutPrefix(rest, []byte(`,"scale":"`)); found {
+		if jr.Scale, rest, ok = cutString(after); !ok || jr.Scale == "" {
+			return JobRequest{}, false
+		}
+	}
+	if after, found := bytes.CutPrefix(rest, []byte(`,"timeoutMs":`)); found {
+		if jr.TimeoutMs, rest, ok = cutInt(after, 18); !ok || jr.TimeoutMs == 0 {
+			return JobRequest{}, false
+		}
+	}
+	if len(rest) != 1 || rest[0] != '}' {
+		return JobRequest{}, false
+	}
+	return jr, true
+}
+
+// cutHier reads a hierarchy in HierJSON's shape from the front of b,
+// decoded over the Table 1 defaults as json.Unmarshal would.
+func cutHier(b []byte) (h mem.HierConfig, rest []byte, ok bool) {
+	h = mem.DefaultHierConfig()
+	if rest, ok = bytes.CutPrefix(b, []byte(`{"l1d":`)); !ok {
+		return h, nil, false
+	}
+	if rest, ok = cutCache(rest, &h.L1D); !ok {
+		return h, nil, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"l2":`)); !ok {
+		return h, nil, false
+	}
+	if rest, ok = cutCache(rest, &h.L2); !ok {
+		return h, nil, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"memLatency":`)); !ok {
+		return h, nil, false
+	}
+	var n int64
+	if n, rest, ok = cutInt(rest, hierDigits); !ok {
+		return h, nil, false
+	}
+	h.MemLatency = int(n)
+	rest, ok = bytes.CutPrefix(rest, []byte("}"))
+	return h, rest, ok
+}
+
+// hierDigits bounds a hierarchy integer the fixed shape takes: nine
+// digits fit an int on every platform, so a longer one is left to
+// encoding/json and its range error.
+const hierDigits = 9
+
+// cutCache reads one cache object of HierJSON's shape into c.
+func cutCache(b []byte, c *mem.CacheConfig) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(`{`))
+	if !ok {
+		return nil, false
+	}
+	if after, found := bytes.CutPrefix(rest, []byte(`"name":"`)); found {
+		end := bytes.IndexByte(after, '"')
+		if end <= 0 || !plainString(after[:end]) {
+			return nil, false
+		}
+		if name := after[:end]; string(name) != c.Name { // the default's string is reused
+			c.Name = string(name)
+		}
+		if rest, ok = bytes.CutPrefix(after[end+1:], []byte(`,`)); !ok {
+			return nil, false
+		}
+	}
+	for _, f := range []struct {
+		prefix string
+		v      *int
+	}{{`"sets":`, &c.Sets}, {`,"ways":`, &c.Ways}, {`,"blockSize":`, &c.BlockSize}, {`,"latency":`, &c.Latency}} {
+		if rest, ok = bytes.CutPrefix(rest, []byte(f.prefix)); !ok {
+			return nil, false
+		}
+		var n int64
+		if n, rest, ok = cutInt(rest, hierDigits); !ok {
+			return nil, false
+		}
+		*f.v = int(n)
+	}
+	return bytes.CutPrefix(rest, []byte(`}`))
+}
+
+// canonicalArch returns the architecture spelled exactly name: the
+// names json.Marshal writes as they are and encoding/json reads back
+// unchanged.
+func canonicalArch[S ~string | ~[]byte](name S) (machine.Arch, bool) {
+	for _, a := range machine.Arches {
+		if string(name) == string(a) {
+			return a, true
+		}
+	}
+	return "", false
+}
+
+// cutString reads a plain string's body and closing quote from the
+// front of b.
+func cutString(b []byte) (string, []byte, bool) {
+	end := bytes.IndexByte(b, '"')
+	if end < 0 || !plainString(b[:end]) {
+		return "", nil, false
+	}
+	return string(b[:end]), b[end+1:], true
+}
+
+// cutInt reads an integer as json.Marshal writes one — 0, or an
+// optional minus and a digit string without a leading zero — of at most
+// maxDigits digits from the front of b.
+func cutInt(b []byte, maxDigits int) (int64, []byte, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	for n < len(b) && b[n] >= '0' && b[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > maxDigits || (b[0] == '0' && (n > 1 || neg)) {
+		return 0, nil, false
+	}
+	var v int64
+	for _, c := range b[:n] {
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, b[n:], true
 }
 
 // HierJSON encodes a hierarchy for JobRequest.Hier.

@@ -1,6 +1,7 @@
 package simserver
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -95,9 +96,7 @@ type Front struct {
 // nothing.
 func NewFront(b Backend, role Role, scale workloads.Scale, logger *slog.Logger, tracer *tracing.Tracer) *Front {
 	if logger == nil {
-		// slog.DiscardHandler needs a newer toolchain than go.mod
-		// promises.
-		logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
+		logger = slog.New(discardHandler{})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Front{
@@ -193,7 +192,10 @@ func (f *Front) ObserveJobTime(d time.Duration) {
 
 func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 	var jr JobRequest
-	if !f.decode(w, r, &jr) {
+	if !f.decode(w, r, func(body []byte) (err error) {
+		jr, err = decodeJobRequest(body)
+		return err
+	}) {
 		return
 	}
 	scale, err := ParseScale(jr.Scale, f.scale)
@@ -210,16 +212,34 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 		f.writeError(w, r, f.b.WireError(err))
 		return
 	}
-	body := appendJobResponse(make([]byte, 0, len(resp.Measurement)+128), resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	buf := envelopes.Get().(*[]byte)
+	body := appendJobResponse((*buf)[:0], resp)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
+	if cap(body) <= maxPooledEnvelope {
+		*buf = body
+		envelopes.Put(buf)
+	}
 }
+
+// envelopes holds the buffers handleJob builds answers in. A buffer
+// goes back once the body is written: Write copies what it is given.
+var envelopes = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledEnvelope bounds the buffers envelopes keeps, so one outsized
+// measurement does not stay pinned in the pool.
+const maxPooledEnvelope = 64 << 10
+
+// jsonContentType is the Content-Type value of every JSON answer,
+// shared: the server only reads it.
+var jsonContentType = []string{"application/json"}
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
-	if !f.decode(w, r, &br) {
+	if !f.decode(w, r, func(body []byte) error { return decodeJSON(body, &br) }) {
 		return
 	}
 	scale, err := ParseScale(br.Scale, f.scale)
@@ -295,13 +315,18 @@ func errorLine(it BatchItem) []byte {
 	return append(line, '\n')
 }
 
-// decode refuses submissions while draining, then decodes the body.
-func (f *Front) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode refuses submissions while draining, then reads the body and
+// hands it to parse.
+func (f *Front) decode(w http.ResponseWriter, r *http.Request, parse func(body []byte) error) bool {
 	if f.Draining() {
 		f.writeError(w, r, WireError{Status: http.StatusServiceUnavailable, Kind: KindDraining, Message: f.role.Noun + " is draining"})
 		return false
 	}
-	if err := DecodeBody(w, r, v); err != nil {
+	body, err := readRequestBody(w, r)
+	if err == nil {
+		err = parse(body)
+	}
+	if err != nil {
 		f.writeError(w, r, badRequestWire(err))
 		return false
 	}
@@ -415,17 +440,48 @@ func badRequestWire(err error) WireError {
 	return WireError{Status: http.StatusBadRequest, Kind: KindBadRequest, Message: err.Error()}
 }
 
-// DecodeBody decodes one JSON request body of at most 1 MiB, refusing
-// unknown fields.
+// maxRequestBody caps every request body a front reads.
+const maxRequestBody = 1 << 20
+
+// DecodeBody decodes a JSON request body of at most 1 MiB as
+// decodeJSON does.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readRequestBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
+}
+
+// readRequestBody reads a request body of at most maxRequestBody bytes,
+// in one allocation when Content-Length declares its size.
+func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	if n := r.ContentLength; n >= 0 && n <= maxRequestBody {
+		body := make([]byte, n)
+		_, err := io.ReadFull(rd, body)
+		return body, err
+	}
+	return io.ReadAll(rd)
+}
+
+// decodeJSON decodes data as one JSON value into v, refusing unknown
+// fields and anything after the value but whitespace.
+func decodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if off := dec.InputOffset(); len(bytes.TrimLeft(data[off:], " \t\r\n")) > 0 {
+		return fmt.Errorf("data after the JSON value at offset %d", off)
+	}
+	return nil
 }
 
 // WriteJSON writes v as a JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

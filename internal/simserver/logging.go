@@ -71,7 +71,9 @@ func (f *Front) withObservability(next http.Handler) http.Handler {
 		if id == "" {
 			id = fmt.Sprintf("%s%08d", f.role.IDPrefix, f.reqSeq.Add(1))
 		}
-		w.Header().Set("X-Request-Id", id)
+		// The key is in canonical form already; Header.Set would
+		// re-check it on every request.
+		w.Header()["X-Request-Id"] = []string{id}
 		ctx := ContextWithRequestID(r.Context(), id)
 		var span *tracing.Span
 		if tracedPath(r.URL.Path) {
@@ -86,12 +88,24 @@ func (f *Front) withObservability(next http.Handler) http.Handler {
 		if span != nil && f.role.Traced != nil {
 			go f.role.Traced(id)
 		}
-		f.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("requestId", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", time.Since(t0).Round(time.Microsecond)),
-		)
+		if f.logger.Enabled(r.Context(), slog.LevelInfo) {
+			f.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("requestId", id),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status),
+				slog.Duration("duration", time.Since(t0).Round(time.Microsecond)),
+			)
+		}
 	})
 }
+
+// discardHandler is the handler of a front built without a logger:
+// enabled at no level, so nothing is formatted. (slog.DiscardHandler
+// needs a newer toolchain than go.mod promises.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
